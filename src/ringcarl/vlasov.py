@@ -12,6 +12,15 @@ shift done by cubic B-spline interpolation.  The chi domain is one
 potential period [0, 2 pi); the u domain is truncated, with the mass
 leaking past the cut monitored.
 
+A shift prefilters f into spline coefficients c along the shifted axis,
+then evaluates w0 c[k-1] + w1 c[k] + w2 c[k+1] + w3 c[k+2] at each node,
+where k is the node's integer offset and w the B-spline weights of its
+fractional part.  Lines sharing an offset (runs of u columns for the chi
+shift, runs of chi rows for the kick) read their four taps as slices of
+the padded coefficient array rather than through per-node index arrays;
+the taps, weights and order of the sums are those of the per-node
+formula, so the result is the same to the last bit.
+
 Cubic interpolation may undershoot slightly (no limiter); diagnostics
 clamp at zero, the solver does not.
 """
@@ -130,21 +139,48 @@ def _bspline_weights(t: np.ndarray):
     return w0, w1, w2, w3
 
 
+def _offset_groups(base: np.ndarray):
+    """Yield (offset, selector) for each distinct integer offset in ``base``.
+
+    The selector picks the positions holding that offset: a slice when they
+    are contiguous (a monotone shift such as u dt / dchi on the uniform u
+    grid, or a smooth kick, gives contiguous runs), an index array otherwise.
+    """
+    order = np.argsort(base, kind="stable")
+    values, starts = np.unique(base[order], return_index=True)
+    for b, idx in zip(values, np.split(order, starts[1:])):
+        if idx[-1] - idx[0] + 1 == idx.size:
+            yield int(b), slice(int(idx[0]), int(idx[-1]) + 1)
+        else:
+            yield int(b), idx
+
+
 def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
-    """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0."""
-    nx = f.shape[0]
+    """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0.
+
+    The prefiltered coefficients are wrap-padded once along axis 0; the
+    columns sharing an integer offset then read their four taps as row
+    slices of the padded array, so each column is touched once.
+    """
+    nx, nv = f.shape
     coef = spline_filter1d(f, order=3, axis=0, mode="grid-wrap")
-    q = -np.asarray(shift_cells, dtype=float)
+    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
     base = np.floor(q).astype(int)
     t = q - base
     w0, w1, w2, w3 = _bspline_weights(t)
-    i = np.arange(nx)[:, None]
-    cols = np.arange(f.shape[1])[None, :]
-    k = (i + base[None, :]) % nx
-    out = w0[None, :] * coef[(k - 1) % nx, cols]
-    out += w1[None, :] * coef[k, cols]
-    out += w2[None, :] * coef[(k + 1) % nx, cols]
-    out += w3[None, :] * coef[(k + 2) % nx, cols]
+    # offsets that differ by nx read the same rows; folding them into
+    # [-nx/2, nx/2) keeps the padding to at most nx + 2 rows
+    base = (base + nx // 2) % nx - nx // 2
+    lo = int(base.min()) - 1
+    padded = coef[np.arange(lo, nx + int(base.max()) + 2) % nx]
+    out = np.empty_like(coef)
+    for b, cols in _offset_groups(base):
+        r = b - 1 - lo  # padded row holding coef[(b - 1) % nx]
+        acc = w0[cols] * padded[r : r + nx, cols]
+        acc += w1[cols] * padded[r + 1 : r + 1 + nx, cols]
+        acc += w2[cols] * padded[r + 2 : r + 2 + nx, cols]
+        acc += w3[cols] * padded[r + 3 : r + 3 + nx, cols]
+        out[:, cols] = acc
     return out
 
 
@@ -156,22 +192,27 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     first and padding the coefficients is not mass-safe (the reconstruction
     then fails to reproduce f at the edge nodes, and the prefilter's gain at
     the grid Nyquist turns that mismatch into a growing edge artefact).
+    The rows sharing an integer offset read their four taps as column
+    slices of the padded coefficients, so each row is touched once.
     """
-    nv = f.shape[1]
-    q = -np.asarray(shift_cells, dtype=float)
+    nrows, nv = f.shape
+    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
     base = np.floor(q).astype(int)
     npad = int(max(4, np.max(np.abs(base)) + 3))
-    padded = np.zeros((f.shape[0], nv + 2 * npad), dtype=f.dtype)
+    padded = np.zeros((nrows, nv + 2 * npad), dtype=f.dtype)
     padded[:, npad : npad + nv] = f
     coef = spline_filter1d(padded, order=3, axis=1, mode="mirror")
     t = q - base
     w0, w1, w2, w3 = _bspline_weights(t)
-    rows = np.arange(f.shape[0])[:, None]
-    k = np.arange(nv)[None, :] + base[:, None] + npad
-    out = w0[:, None] * coef[rows, k - 1]
-    out += w1[:, None] * coef[rows, k]
-    out += w2[:, None] * coef[rows, k + 1]
-    out += w3[:, None] * coef[rows, k + 2]
+    out = np.empty((nrows, nv), dtype=coef.dtype)
+    for b, rows in _offset_groups(base):
+        c = coef[rows]
+        k = b - 1 + npad  # padded column holding tap 0 of output column 0
+        acc = w0[rows, None] * c[:, k : k + nv]
+        acc += w1[rows, None] * c[:, k + 1 : k + 1 + nv]
+        acc += w2[rows, None] * c[:, k + 2 : k + 2 + nv]
+        acc += w3[rows, None] * c[:, k + 3 : k + 3 + nv]
+        out[rows] = acc
     return out
 
 
@@ -237,6 +278,9 @@ def vlasov_step(
     The u-kick leaves the chi marginal (hence theta) untouched, so the mode
     amplitudes see a constant theta across the whole step and are advanced
     by RK4 in two halves around the kick.
+
+    Raises IntegrationDivergedError, with tau = nan since the step does not
+    know the time, once the kick or f stops being finite.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -253,6 +297,8 @@ def vlasov_step(
     kick = 2.0 * params.rho_r * params.u0 * (
         c.real * np.sin(out.chi) + c.imag * np.cos(out.chi)
     )
+    if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
+        raise IntegrationDivergedError(float("nan"))
     mass_before = out.mass()
     out.f = shift_clamped_u(out.f, kick * dt / out.du)
     lost = mass_before - out.mass()
@@ -306,6 +352,8 @@ def run_vlasov(
     Snapshots are (tau, PhaseSpaceGrid) pairs taken every
     ``snapshot_every`` (None: only the final state).  The kinetic_energy
     diagnostic is per particle, matching the N-body TimeSeries convention.
+    A step that diverges raises IntegrationDivergedError carrying the time
+    that step was to reach.
     """
     if t_end <= 0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -335,8 +383,11 @@ def run_vlasov(
     if snap_stride is not None:
         snaps.append((0.0, grid.copy()))
     for i in range(1, n_steps + 1):
-        grid, fields = vlasov_step(grid, fields, params, dt, hamiltonian=hamiltonian)
         tau = i * dt
+        try:
+            grid, fields = vlasov_step(grid, fields, params, dt, hamiltonian=hamiltonian)
+        except IntegrationDivergedError as exc:
+            raise IntegrationDivergedError(tau) from exc
         if i % stride == 0:
             record(tau)
         if snap_stride is not None and i % snap_stride == 0:

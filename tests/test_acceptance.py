@@ -120,6 +120,7 @@ def test_criterion_4_momentum_conservation():
     report(4, "momentum conservation", drift < 1e-8)
 
 
+@pytest.mark.slow
 def test_criterion_5_regime_reproduction(fig2_series, fig3_series,
                                          slow_beam_series):
     th = nbody.ClassifyThresholds()
@@ -140,11 +141,13 @@ def test_criterion_5_regime_reproduction(fig2_series, fig3_series,
     report(5, "regime reproduction", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_bgk_residual(fig2_series):
     rep = bgk.validate_wave(fig2_series, desk_params(2.0, 0.3))
     report(6, "travelling-wave residual", rep.residual < 0.05)
 
 
+@pytest.mark.slow
 def test_criterion_7_carl_bound(fig3_series):
     p = desk_params(2.0, 0.8)
     bound = st.carl_bound(p)
@@ -167,6 +170,7 @@ def test_criterion_7_carl_bound(fig3_series):
     report(7, "asymmetry bound", ok)
 
 
+@pytest.mark.slow
 def test_criterion_8_vlasov_nbody_agreement():
     n = 10**5
     p = desk_params(2.0, 0.0, n=n)

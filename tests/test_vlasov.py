@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.ndimage import spline_filter1d
 
 from ringcarl import vlasov as vl
-from ringcarl.core import DomainError, SystemParams, steady_state_fields
+from ringcarl.core import DomainError, FieldState, SystemParams, steady_state_fields
+from ringcarl.nbody import IntegrationDivergedError
 
 
 def make_params(s=8.0, a=2.0, **kw):
@@ -34,7 +37,86 @@ class TestGrid:
         assert abs(theta) == pytest.approx(5e-3, rel=1e-10)
 
 
+# Reference kernels: the per-node gather form of the two shifts.  The slice
+# form in ringcarl.vlasov evaluates the same taps in the same order and must
+# match these bit for bit.
+
+
+def _ref_shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
+    """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0."""
+    nx = f.shape[0]
+    coef = spline_filter1d(f, order=3, axis=0, mode="grid-wrap")
+    q = -np.asarray(shift_cells, dtype=float)
+    base = np.floor(q).astype(int)
+    t = q - base
+    w0, w1, w2, w3 = vl._bspline_weights(t)
+    i = np.arange(nx)[:, None]
+    cols = np.arange(f.shape[1])[None, :]
+    k = (i + base[None, :]) % nx
+    out = w0[None, :] * coef[(k - 1) % nx, cols]
+    out += w1[None, :] * coef[k, cols]
+    out += w2[None, :] * coef[(k + 1) % nx, cols]
+    out += w3[None, :] * coef[(k + 2) % nx, cols]
+    return out
+
+
+def _ref_shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
+    """out[i, j] = f(i, j - shift_cells[i]); f is zero outside the u domain."""
+    nv = f.shape[1]
+    q = -np.asarray(shift_cells, dtype=float)
+    base = np.floor(q).astype(int)
+    npad = int(max(4, np.max(np.abs(base)) + 3))
+    padded = np.zeros((f.shape[0], nv + 2 * npad), dtype=f.dtype)
+    padded[:, npad : npad + nv] = f
+    coef = spline_filter1d(padded, order=3, axis=1, mode="mirror")
+    t = q - base
+    w0, w1, w2, w3 = vl._bspline_weights(t)
+    rows = np.arange(f.shape[0])[:, None]
+    k = np.arange(nv)[None, :] + base[:, None] + npad
+    out = w0[:, None] * coef[rows, k - 1]
+    out += w1[:, None] * coef[rows, k]
+    out += w2[:, None] * coef[rows, k + 1]
+    out += w3[:, None] * coef[rows, k + 2]
+    return out
+
+
+def _shift_values(limit):
+    """Fractional, integer and zero shifts, up to +-limit cells."""
+    return st.one_of(
+        st.floats(-limit, limit, allow_nan=False),
+        st.integers(-limit, limit).map(float),
+        st.just(0.0),
+        st.just(-0.0),
+    )
+
+
+@st.composite
+def _field_and_shifts(draw, along):
+    """(f, shifts): f of 1..24 by 1..24, one shift per line along axis ``along``.
+
+    The shifts reach past the length of the shifted axis and are in no order.
+    """
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    f = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    n_lines, n_shifted = shape[1 - along], shape[along]
+    limit = 3 * n_shifted + 5
+    shifts = draw(st.lists(_shift_values(limit), min_size=n_lines, max_size=n_lines))
+    return f, np.array(shifts)
+
+
 class TestShifts:
+    @settings(max_examples=300, deadline=None)
+    @given(_field_and_shifts(along=0))
+    def test_periodic_matches_gather_reference(self, case):
+        f, shifts = case
+        assert np.array_equal(vl.shift_periodic_chi(f, shifts), _ref_shift_periodic_chi(f, shifts))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_field_and_shifts(along=1))
+    def test_clamped_matches_gather_reference(self, case):
+        f, shifts = case
+        assert np.array_equal(vl.shift_clamped_u(f, shifts), _ref_shift_clamped_u(f, shifts))
+
     def test_periodic_integer_shift_exact(self):
         rng = np.random.default_rng(0)
         f = rng.random((16, 8))
@@ -91,8 +173,6 @@ class TestStep:
         """The u-kick must not change theta (it shifts along u only)."""
         p = make_params(s=50.0, a=10.0)
         g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
-        from ringcarl.core import FieldState
-
         fl = FieldState(1.0, 0.5j, 0.2, 0.8 + 0.1j)
         col0 = np.sum(g.f, axis=1).copy()
         c = fl.alpha_plus * np.conj(fl.alpha_minus) + fl.beta_plus * np.conj(fl.beta_minus)
@@ -121,11 +201,41 @@ class TestRun:
     def test_momentum_invariant_closed_system(self):
         p = make_params(s=8.0, a=2.0)
         g = vl.make_grid(p, nx=64, nv=128, cosine_eps=1e-2)
-        from ringcarl.core import FieldState
-
         fl = FieldState(0.5, 0.1j, 0.2, 0.4)
         p0 = vl.kinetic_momentum_invariant(g, fl, p)
         for _ in range(200):
             g, fl = vl.vlasov_step(g, fl, p, 5e-3, hamiltonian=True)
         p1 = vl.kinetic_momentum_invariant(g, fl, p)
         assert abs(p1 - p0) / max(abs(p0), 1.0) < 1e-6
+
+    def test_divergence_reports_step_time(self):
+        p = make_params()
+        g = vl.make_grid(p, nx=16, nv=32)
+        g.f[3, 5] = np.nan
+        with pytest.raises(IntegrationDivergedError) as info:
+            vl.run_vlasov(p, grid=g, t_end=0.1, dt=0.01)
+        assert info.value.tau == 0.01
+
+    def test_run_matches_gather_reference(self, monkeypatch):
+        """A whole run through the slice kernels equals one through the gathers."""
+        p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
+        fl = FieldState(1.0, 0.5j, 0.2, 0.8 + 0.1j)
+
+        def run():
+            g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
+            return vl.run_vlasov(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
+                                 sample_every=0.1, snapshot_every=0.5)
+
+        series, snaps = run()
+        with monkeypatch.context() as m:
+            m.setattr(vl, "shift_periodic_chi", _ref_shift_periodic_chi)
+            m.setattr(vl, "shift_clamped_u", _ref_shift_clamped_u)
+            ref_series, ref_snaps = run()
+        for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum"):
+            assert np.array_equal(getattr(series, name), getattr(ref_series, name)), name
+        assert len(snaps) == len(ref_snaps) == 5
+        for (tau, g), (ref_tau, ref_g) in zip(snaps, ref_snaps):
+            assert tau == ref_tau
+            assert np.array_equal(g.f, ref_g.f)
+            assert g.lost_mass == ref_g.lost_mass
+        assert np.ptp(series.v_cm) > 0.0  # the kick moved the gas
