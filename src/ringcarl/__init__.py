@@ -2,21 +2,26 @@
 
 Subpackages by concern:
 
-* :mod:`ringcarl.core`      -- shared types, unit system, optical-potential kernel
+* :mod:`ringcarl.core`      -- parameters, units and the mean-field model both
+  solvers share: mode equations, coupling, force, sampled time series
 * :mod:`ringcarl.nbody`     -- coupled mode-particle ODE integration and diagnostics
 * :mod:`ringcarl.vlasov`    -- semi-Lagrangian kinetic solver on a phase-space grid
 * :mod:`ringcarl.stability` -- dispersion relation, growth rates, stability boundary
 * :mod:`ringcarl.bgk`       -- travelling-wave relations and run validation
 * :mod:`ringcarl.cli`       -- configuration, presets, sweeps, persistence
+
+Mode amplitudes are a complex array (a+, a-, b+, b-); particles and grids are
+plain numpy arrays.
 """
 
 from .core import (
-    FieldState,
-    ParticleEnsemble,
+    IntegrationDivergedError,
     SystemParams,
-    compute_order_parameter,
+    TimeSeries,
+    coupling,
+    field_momentum,
     force,
-    potential_coefficient,
+    mode_rhs,
     sample_maxwellian,
     steady_state_fields,
 )
@@ -25,11 +30,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams",
-    "FieldState",
-    "ParticleEnsemble",
-    "compute_order_parameter",
-    "potential_coefficient",
+    "TimeSeries",
+    "IntegrationDivergedError",
+    "mode_rhs",
+    "coupling",
     "force",
+    "field_momentum",
     "sample_maxwellian",
     "steady_state_fields",
     "__version__",

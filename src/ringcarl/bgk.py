@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SystemParams
-from .nbody import TimeSeries
+from .core import DomainError, SystemParams, TimeSeries
 
 __all__ = [
     "WaveState",

@@ -15,6 +15,7 @@ import concurrent.futures
 import csv
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -22,8 +23,7 @@ import numpy as np
 
 from . import __version__, bgk, nbody, stability, vlasov
 from .config import MODES, ConfigError, RunConfig, RunManifest, parse_config
-from .core import DomainError, SystemParams
-from .nbody import IntegrationDivergedError
+from .core import DomainError, IntegrationDivergedError, TimeSeries
 
 __all__ = ["main", "run_experiment", "load_preset", "preset_names"]
 
@@ -45,7 +45,7 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_timeseries(path, series: nbody.TimeSeries) -> None:
+def write_timeseries(path, series: TimeSeries) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TIMESERIES_HEADER)
@@ -81,7 +81,7 @@ def write_snapshot(path, grid: vlasov.PhaseSpaceGrid) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _nbody_series(cfg: RunConfig) -> nbody.TimeSeries:
+def _nbody_series(cfg: RunConfig) -> TimeSeries:
     o = cfg.options["nbody"]
     init = nbody.InitialCondition(
         mean_u=o["mean_u"],
@@ -172,8 +172,6 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
     o = cfg.options["boundary"]
     u_ts = [cfg.params.u_t] + [u for u in (o["u_t_list"] or []) if u != cfg.params.u_t]
-    from dataclasses import replace
-
     for u_t in u_ts:
         p = replace(cfg.params, u_t=u_t)
         grid = stability.default_omega_grid(p, n=2 * o["n_omega"])
@@ -193,19 +191,14 @@ def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 
 def _sweep_cell(args):
     """One pure cell; returns a phase-diagram CSV row (list of str)."""
-    s, a, params_tuple, dynamic, t_end, dt, sample_every = args
-    params = SystemParams(*params_tuple)
+    s, a, params, dynamic, t_end, dt, sample_every = args
     try:
         point = stability.PumpPoint(s, a)
         res = stability.classify_regime(point, params)
         regime = res.regime
         growth = res.growth if res.growth is not None else 0.0j
         if dynamic:
-            from dataclasses import replace
-
-            ep = np.sqrt(max((s + a) / 2.0, 0.0))
-            em = np.sqrt(max((s - a) / 2.0, 0.0))
-            p_run = replace(params, eta_plus=complex(ep), eta_minus=complex(em))
+            p_run = params.with_pump_split(s, a)
             series = nbody.run(p_run, t_end=t_end, dt=dt, sample_every=sample_every)
             label = nbody.classify_run(series, p_run)
             regime = f"{regime}/{label}"
@@ -245,11 +238,8 @@ def _mode_phase_diagram(
     ]
     path = outdir / "phase_diagram.csv"
     done = _existing_cells(path, outdir / "manifest.json")
-    p = cfg.params
-    ptuple = (p.delta, p.n_particles, p.u0, p.eta_plus, p.eta_minus,
-              p.rho_r, p.u_t, p.seed)
     todo = [
-        (s, a, ptuple, sw["dynamic"], cfg.t_end, cfg.dt, cfg.sample_every)
+        (s, a, cfg.params, sw["dynamic"], cfg.t_end, cfg.dt, cfg.sample_every)
         for (s, a) in cells
         if (_fmt(s), _fmt(a)) not in done
     ]

@@ -239,16 +239,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errors)
 
     try:
-        params = SystemParams.from_pump_split(
-            s_total,
-            a_asym,
-            delta=base.delta,
-            n_particles=base.n_particles,
-            u0=base.u0,
-            rho_r=base.rho_r,
-            u_t=base.u_t,
-            seed=base.seed,
-        )
+        params = base.with_pump_split(s_total, a_asym)
     except DomainError as exc:
         raise ConfigError([str(exc)]) from exc
 

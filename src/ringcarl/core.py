@@ -1,4 +1,11 @@
-"""Shared domain types and the optical-potential kernel.
+"""The mean-field model that both solvers integrate, defined once.
+
+Two counterpropagating, orthogonally polarized mode pairs (alpha+, alpha-)
+and (beta+, beta-) are pumped by eta+ and eta- and scatter into their
+partners off the density grating theta = <e^{-i chi}>.  The gas is kicked
+by F = 2 rho_r u0 Im[C e^{i chi}] with C = alpha+ alpha-^* + beta+ beta-^*.
+The four amplitudes travel as one complex array a = (a+, a-, b+, b-);
+particle positions, velocities and phase-space grids are plain arrays.
 
 Unit conventions (cavity decay rate kappa = 1 throughout):
 
@@ -20,13 +27,13 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "IntegrationDivergedError",
     "SystemParams",
-    "FieldState",
-    "ParticleEnsemble",
-    "compute_order_parameter",
-    "potential_coefficient",
-    "dimensionless_potential",
+    "TimeSeries",
+    "mode_rhs",
+    "coupling",
     "force",
+    "field_momentum",
     "sample_maxwellian",
     "steady_state_fields",
     "TWO_PI",
@@ -37,6 +44,14 @@ TWO_PI = 2.0 * np.pi
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its physical domain."""
+
+
+class IntegrationDivergedError(RuntimeError):
+    """NaN/Inf appeared during time stepping; carries the time of failure."""
+
+    def __init__(self, tau: float):
+        super().__init__(f"integration diverged at tau = {tau:g}")
+        self.tau = tau
 
 
 @dataclass(frozen=True)
@@ -91,94 +106,110 @@ class SystemParams:
     @classmethod
     def from_pump_split(cls, s_total: float, a_asym: float, **kwargs) -> "SystemParams":
         """Build params with real pump amplitudes realizing given (S, A)."""
+        return cls(eta_plus=0j, eta_minus=0j, **kwargs).with_pump_split(s_total, a_asym)
+
+    def with_pump_split(self, s_total: float, a_asym: float) -> "SystemParams":
+        """These params with real pump amplitudes realizing given (S, A)."""
         if s_total < 0:
             raise DomainError(f"s_total must be >= 0, got {s_total}")
         if abs(a_asym) > s_total * (1 + 1e-12):
             raise DomainError(f"|A| = {abs(a_asym)} exceeds S = {s_total}")
         ep = np.sqrt(max((s_total + a_asym) / 2.0, 0.0))
         em = np.sqrt(max((s_total - a_asym) / 2.0, 0.0))
-        return cls(eta_plus=complex(ep), eta_minus=complex(em), **kwargs)
+        return self.with_pumps(complex(ep), complex(em))
 
     def with_pumps(self, eta_plus: complex, eta_minus: complex) -> "SystemParams":
         return replace(self, eta_plus=eta_plus, eta_minus=eta_minus)
 
 
-@dataclass
-class FieldState:
-    """The four complex mode amplitudes (two per polarization)."""
-
-    alpha_plus: complex = 0.0 + 0.0j
-    alpha_minus: complex = 0.0 + 0.0j
-    beta_plus: complex = 0.0 + 0.0j
-    beta_minus: complex = 0.0 + 0.0j
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.alpha_plus, self.alpha_minus, self.beta_plus, self.beta_minus],
-            dtype=complex,
-        )
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "FieldState":
-        return cls(complex(a[0]), complex(a[1]), complex(a[2]), complex(a[3]))
-
-    def intensities(self) -> np.ndarray:
-        return np.abs(self.as_array()) ** 2
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.as_array())))
+# ---------------------------------------------------------------------------
+# The model: mode equations, coupling, force
+# ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParticleEnsemble:
-    """N scaled positions (mod 2 pi) and velocities."""
+def mode_rhs(a: np.ndarray, theta: complex, params: SystemParams, hamiltonian: bool = False):
+    """d a / d tau for a = (a+, a-, b+, b-) at bunching theta.
 
-    chi: np.ndarray
-    u: np.ndarray
+        d(alpha+)/dtau = (i delta - 1) alpha+ - i N u0 theta  alpha- + eta+
+        d(alpha-)/dtau = (i delta - 1) alpha- - i N u0 theta* alpha+
+        d(beta+)/dtau  = (i delta - 1) beta+  - i N u0 theta  beta-
+        d(beta-)/dtau  = (i delta - 1) beta-  - i N u0 theta* beta+ + eta-
 
-    def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=float) % TWO_PI
-        self.u = np.asarray(self.u, dtype=float)
-        if self.chi.shape != self.u.shape or self.chi.ndim != 1:
-            raise DomainError("chi and u must be 1-d arrays of equal length")
-        if self.chi.size == 0:
-            raise DomainError("ensemble must contain at least one particle")
-
-    @property
-    def n(self) -> int:
-        return self.chi.size
-
-
-def compute_order_parameter(ensemble: ParticleEnsemble) -> complex:
-    """Bunching order parameter theta = (1/N) sum_j exp(-i chi_j)."""
-    return complex(np.mean(np.exp(-1j * ensemble.chi)))
+    ``hamiltonian`` drops the decay and the pumps (the closed system).
+    """
+    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
+    nu0 = params.nu0
+    ap, am, bp, bm = a
+    da = np.empty(4, dtype=complex)
+    da[0] = lam * ap - 1j * nu0 * theta * am
+    da[1] = lam * am - 1j * nu0 * np.conj(theta) * ap
+    da[2] = lam * bp - 1j * nu0 * theta * bm
+    da[3] = lam * bm - 1j * nu0 * np.conj(theta) * bp
+    if not hamiltonian:
+        da[0] += params.eta_plus
+        da[3] += params.eta_minus
+    return da
 
 
-def potential_coefficient(fields: FieldState) -> complex:
+def coupling(a: np.ndarray) -> complex:
     """Interference coefficient C = alpha+ alpha-^* + beta+ beta-^*.
 
     The dimensionless optical potential is phi(chi) = 2 u0 Re[C e^{i chi}];
     C = 0 means a flat potential (no backscattered light).
     """
-    return fields.alpha_plus * np.conj(fields.alpha_minus) + fields.beta_plus * np.conj(
-        fields.beta_minus
-    )
+    return a[0] * np.conj(a[1]) + a[2] * np.conj(a[3])
 
 
-def dimensionless_potential(chi, fields: FieldState, params: SystemParams):
-    """phi(chi) = 2 u0 Re[C e^{i chi}]; accepts scalar or array chi."""
-    c = potential_coefficient(fields)
-    return 2.0 * params.u0 * np.real(c * np.exp(1j * np.asarray(chi)))
-
-
-def force(chi, fields: FieldState, params: SystemParams):
+def force(sin_chi, cos_chi, c: complex, params: SystemParams):
     """Scaled acceleration du/dtau = 2 rho_r u0 Im[C e^{i chi}].
 
-    This is exactly -rho_r * d(phi)/d(chi) with phi = 2 u0 Re[C e^{i chi}],
-    i.e. particles are pushed towards the minima of the optical potential.
+    Takes sin(chi) and cos(chi) so a caller that already has them pays no
+    second trig pass.  This is -rho_r d(phi)/d(chi): particles are pushed
+    towards the minima of the optical potential.
     """
-    c = potential_coefficient(fields)
-    return 2.0 * params.rho_r * params.u0 * np.imag(c * np.exp(1j * np.asarray(chi)))
+    # Im[C e^{i chi}] = Re(C) sin(chi) + Im(C) cos(chi)
+    return 2.0 * params.rho_r * params.u0 * (c.real * sin_chi + c.imag * cos_chi)
+
+
+def field_momentum(intensities: np.ndarray):
+    """|a+|^2 - |a-|^2 + |b+|^2 - |b-|^2 along the last axis."""
+    i = intensities
+    return i[..., 0] - i[..., 1] + i[..., 2] - i[..., 3]
+
+
+@dataclass
+class TimeSeries:
+    """Uniformly sampled diagnostics of one run."""
+
+    tau: np.ndarray          # (M,)
+    theta: np.ndarray        # (M,) complex
+    v_cm: np.ndarray         # (M,) mean velocity in u-units
+    intensities: np.ndarray  # (M, 4): |a+|^2, |a-|^2, |b+|^2, |b-|^2
+    kinetic_energy: np.ndarray  # (M,) mean u^2 / 2 per particle
+    field_momentum: np.ndarray  # (M,) |a+|^2 - |a-|^2 + |b+|^2 - |b-|^2
+
+    @classmethod
+    def from_samples(cls, rows) -> "TimeSeries":
+        """Series from (tau, theta, v_cm, kinetic_energy, a) rows."""
+        tau, theta, v_cm, ekin, a = zip(*rows)
+        intensities = np.abs(np.array(a)) ** 2
+        return cls(
+            tau=np.array(tau),
+            theta=np.array(theta),
+            v_cm=np.array(v_cm),
+            intensities=intensities,
+            kinetic_energy=np.array(ekin),
+            field_momentum=field_momentum(intensities),
+        )
+
+    def __len__(self) -> int:
+        return self.tau.size
+
+    def trailing_window(self, frac: float = 0.25) -> np.ndarray:
+        """Index array of the trailing analysis window."""
+        m = len(self)
+        start = m - max(int(round(frac * m)), 2)
+        return np.arange(max(start, 0), m)
 
 
 def sample_maxwellian(
@@ -203,16 +234,13 @@ def sample_maxwellian(
     return rng.normal(loc=mean_u, scale=params.u_t / np.sqrt(2.0), size=n)
 
 
-def steady_state_fields(params: SystemParams) -> FieldState:
-    """Homogeneous stationary fields: only the pumped modes are populated.
+def steady_state_fields(params: SystemParams) -> np.ndarray:
+    """Homogeneous stationary amplitudes (a+, a-, b+, b-): only the pumped
+    modes are populated.
 
     alpha+ = eta+ / (1 - i delta), beta- = eta- / (1 - i delta); with theta = 0
     all four mode equations then have vanishing right-hand sides.
     """
     d = 1.0 - 1j * params.delta
-    return FieldState(
-        alpha_plus=params.eta_plus / d,
-        alpha_minus=0.0 + 0.0j,
-        beta_plus=0.0 + 0.0j,
-        beta_minus=params.eta_minus / d,
-    )
+    # scalar divisions: dividing the array by d rounds differently
+    return np.array([params.eta_plus / d, 0j, 0j, params.eta_minus / d], dtype=complex)

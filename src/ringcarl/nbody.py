@@ -1,14 +1,12 @@
 """Coupled mode-particle dynamics: four cavity modes + N point particles.
 
-Scaled equations of motion (kappa = 1):
+The modes follow :func:`ringcarl.core.mode_rhs` at the particles'
+bunching theta = (1/N) sum_j exp(-i chi_j), and each particle moves as
 
-    d(alpha+)/dtau = (i delta - 1) alpha+ - i N u0 theta  alpha- + eta+
-    d(alpha-)/dtau = (i delta - 1) alpha- - i N u0 theta* alpha+
-    d(beta+)/dtau  = (i delta - 1) beta+  - i N u0 theta  beta-
-    d(beta-)/dtau  = (i delta - 1) beta-  - i N u0 theta* beta+ + eta-
     d(chi_j)/dtau  = u_j
     d(u_j)/dtau    = 2 rho_r u0 Im[C e^{i chi_j}],   C = a+ a-* + b+ b-*
 
+(:func:`ringcarl.core.force`).  The state is the plain arrays (a, chi, u).
 Integration is fixed-step classical RK4 (the system is non-stiff for
 |delta|, |N u0| of order one).
 """
@@ -22,69 +20,26 @@ import numpy as np
 from .core import (
     TWO_PI,
     DomainError,
-    FieldState,
-    ParticleEnsemble,
+    IntegrationDivergedError,
     SystemParams,
+    TimeSeries,
+    coupling,
+    field_momentum,
+    force,
+    mode_rhs,
     sample_maxwellian,
     steady_state_fields,
 )
 
 __all__ = [
-    "SimulationState",
-    "TimeSeries",
     "InitialCondition",
     "ClassifyThresholds",
-    "IntegrationDivergedError",
-    "rhs",
     "step",
     "run",
     "classify_run",
     "slow_beam_preset",
     "momentum_invariant",
 ]
-
-
-class IntegrationDivergedError(RuntimeError):
-    """NaN/Inf appeared during time stepping; carries the time of failure."""
-
-    def __init__(self, tau: float):
-        super().__init__(f"integration diverged at tau = {tau:g}")
-        self.tau = tau
-
-
-@dataclass
-class SimulationState:
-    tau: float
-    fields: FieldState
-    ensemble: ParticleEnsemble
-
-    def copy(self) -> "SimulationState":
-        return SimulationState(
-            self.tau,
-            FieldState.from_array(self.fields.as_array()),
-            ParticleEnsemble(self.ensemble.chi.copy(), self.ensemble.u.copy()),
-        )
-
-
-@dataclass
-class TimeSeries:
-    """Uniformly sampled diagnostics of one run."""
-
-    tau: np.ndarray          # (M,)
-    theta: np.ndarray        # (M,) complex
-    v_cm: np.ndarray         # (M,) mean velocity in u-units
-    intensities: np.ndarray  # (M, 4): |a+|^2, |a-|^2, |b+|^2, |b-|^2
-    kinetic_energy: np.ndarray  # (M,) mean u^2 / 2 per particle
-    field_momentum: np.ndarray  # (M,) |a+|^2 - |a-|^2 + |b+|^2 - |b-|^2
-
-    def __len__(self) -> int:
-        return self.tau.size
-
-    def trailing_window(self, frac: float = 0.25) -> np.ndarray:
-        """Index array of the trailing analysis window."""
-        m = len(self)
-        start = m - max(int(round(frac * m)), 2)
-        return np.arange(max(start, 0), m)
 
 
 @dataclass(frozen=True)
@@ -109,7 +64,8 @@ class InitialCondition:
     random_positions: bool = False
 
 
-def _initial_state(params: SystemParams, init: InitialCondition) -> SimulationState:
+def _initial_state(params: SystemParams, init: InitialCondition):
+    """(a, chi, u): steady-state modes and the seeded particles."""
     n = params.n_particles
     rng = np.random.default_rng(params.seed)
     grid = TWO_PI * (np.arange(n) + 0.5) / n
@@ -133,92 +89,55 @@ def _initial_state(params: SystemParams, init: InitialCondition) -> SimulationSt
         u = np.resize(np.tile(ladder, n // m + 1), n)
     else:
         u = sample_maxwellian(params, n, mean_u=init.mean_u, rng=rng)
-    return SimulationState(0.0, steady_state_fields(params), ParticleEnsemble(chi, u))
+    return steady_state_fields(params), chi % TWO_PI, u
 
 
-def _rhs_arrays(
-    f: np.ndarray,
-    chi: np.ndarray,
-    u: np.ndarray,
-    params: SystemParams,
-    hamiltonian: bool = False,
-):
-    """Time derivative on raw arrays; `hamiltonian` drops decay and pumps."""
+def _rhs(a, chi, u, params, hamiltonian):
+    """Time derivative (da, dchi, du) of the coupled system."""
     cos_chi = np.cos(chi)
     sin_chi = np.sin(chi)
-    n = chi.size
-    theta = (np.sum(cos_chi) - 1j * np.sum(sin_chi)) / n
-    nu0 = params.nu0
-    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
-    ap, am, bp, bm = f
-    df = np.empty(4, dtype=complex)
-    df[0] = lam * ap - 1j * nu0 * theta * am
-    df[1] = lam * am - 1j * nu0 * np.conj(theta) * ap
-    df[2] = lam * bp - 1j * nu0 * theta * bm
-    df[3] = lam * bm - 1j * nu0 * np.conj(theta) * bp
-    if not hamiltonian:
-        df[0] += params.eta_plus
-        df[3] += params.eta_minus
-    c = ap * np.conj(am) + bp * np.conj(bm)
-    # Im[C e^{i chi}] = Re(C) sin(chi) + Im(C) cos(chi)
-    du = 2.0 * params.rho_r * params.u0 * (c.real * sin_chi + c.imag * cos_chi)
-    return df, u, du
+    # a numpy scalar: the sampled theta in _sample (a Python complex) can
+    # differ from it in the last bit, and each keeps its own form
+    theta = (np.sum(cos_chi) - 1j * np.sum(sin_chi)) / chi.size
+    da = mode_rhs(a, theta, params, hamiltonian)
+    return da, u, force(sin_chi, cos_chi, coupling(a), params)
 
 
-def rhs(state: SimulationState, params: SystemParams, hamiltonian: bool = False):
-    """Time derivative of the full state; returns (dfields, dchi, du)."""
-    return _rhs_arrays(
-        state.fields.as_array(), state.ensemble.chi, state.ensemble.u, params, hamiltonian
+def _rk4(a, chi, u, params, dt, hamiltonian=False):
+    k1a, k1c, k1u = _rhs(a, chi, u, params, hamiltonian)
+    k2a, k2c, k2u = _rhs(
+        a + 0.5 * dt * k1a, chi + 0.5 * dt * k1c, u + 0.5 * dt * k1u, params, hamiltonian
     )
-
-
-def _rk4_arrays(f, chi, u, params, dt, hamiltonian=False):
-    k1f, k1c, k1u = _rhs_arrays(f, chi, u, params, hamiltonian)
-    k2f, k2c, k2u = _rhs_arrays(
-        f + 0.5 * dt * k1f, chi + 0.5 * dt * k1c, u + 0.5 * dt * k1u, params, hamiltonian
+    k3a, k3c, k3u = _rhs(
+        a + 0.5 * dt * k2a, chi + 0.5 * dt * k2c, u + 0.5 * dt * k2u, params, hamiltonian
     )
-    k3f, k3c, k3u = _rhs_arrays(
-        f + 0.5 * dt * k2f, chi + 0.5 * dt * k2c, u + 0.5 * dt * k2u, params, hamiltonian
-    )
-    k4f, k4c, k4u = _rhs_arrays(
-        f + dt * k3f, chi + dt * k3c, u + dt * k3u, params, hamiltonian
-    )
+    k4a, k4c, k4u = _rhs(a + dt * k3a, chi + dt * k3c, u + dt * k3u, params, hamiltonian)
     sixth = dt / 6.0
-    f = f + sixth * (k1f + 2 * k2f + 2 * k3f + k4f)
+    a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
     chi = chi + sixth * (k1c + 2 * k2c + 2 * k3c + k4c)
     u = u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
-    return f, chi, u
+    return a, chi, u
 
 
-def step(
-    state: SimulationState,
-    params: SystemParams,
-    dt: float,
-    hamiltonian: bool = False,
-) -> SimulationState:
-    """Advance one RK4 step of size dt > 0."""
+def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
+    """Advance (a, chi, u) by one RK4 step of size dt > 0; chi is wrapped.
+
+    Raises IntegrationDivergedError, with tau = nan since the step does not
+    know the time, once the modes or velocities stop being finite.
+    """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    f, chi, u = _rk4_arrays(
-        state.fields.as_array(), state.ensemble.chi, state.ensemble.u, params, dt, hamiltonian
-    )
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(u))):
-        raise IntegrationDivergedError(state.tau + dt)
-    return SimulationState(
-        state.tau + dt, FieldState.from_array(f), ParticleEnsemble(chi % TWO_PI, u)
-    )
+    a, chi, u = _rk4(a, chi, u, params, dt, hamiltonian)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
+        raise IntegrationDivergedError(float("nan"))
+    return a, chi % TWO_PI, u
 
 
-def _record(tau, f, u, chi, out):
-    inten = np.abs(f) ** 2
-    n = chi.size
-    theta = complex(np.sum(np.cos(chi)) - 1j * np.sum(np.sin(chi))) / n
-    out["tau"].append(tau)
-    out["theta"].append(theta)
-    out["v_cm"].append(float(np.mean(u)))
-    out["intensities"].append(inten)
-    out["kinetic_energy"].append(float(np.mean(u**2) / 2.0))
-    out["field_momentum"].append(float(inten[0] - inten[1] + inten[2] - inten[3]))
+def _sample(tau, a, chi, u):
+    """One TimeSeries row (tau, theta, v_cm, kinetic_energy, a)."""
+    # a Python complex, unlike the RHS's theta; see _rhs
+    theta = complex(np.sum(np.cos(chi)) - 1j * np.sum(np.sin(chi))) / chi.size
+    return tau, theta, float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
 def run(
@@ -227,45 +146,27 @@ def run(
     t_end: float = 30.0,
     sample_every: float = 0.1,
     dt: float = 1e-3,
-    hamiltonian: bool = False,
-    initial_state: SimulationState | None = None,
 ) -> TimeSeries:
     """Integrate from the seeded near-homogeneous initial condition.
 
-    ``initial_state`` overrides the built-in initialization (used by tests
-    and by the conservation checks).  Sampling happens every
-    round(sample_every/dt) steps, including tau = 0.
+    Sampling happens every round(sample_every/dt) steps, including tau = 0;
+    finiteness is checked at the same stride.
     """
     if t_end <= 0:
         raise DomainError(f"t_end must be positive, got {t_end}")
-    if init is None:
-        init = InitialCondition()
-    state = initial_state.copy() if initial_state is not None else _initial_state(params, init)
-    f = state.fields.as_array()
-    chi = state.ensemble.chi.copy()
-    u = state.ensemble.u.copy()
+    a, chi, u = _initial_state(params, init or InitialCondition())
     n_steps = int(round(t_end / dt))
     stride = max(int(round(sample_every / dt)), 1)
-    out = {k: [] for k in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum")}
-    tau = state.tau
-    _record(tau, f, u, chi, out)
-    check_every = max(stride, 1)
+    rows = [_sample(0.0, a, chi, u)]
     for i in range(1, n_steps + 1):
-        f, chi, u = _rk4_arrays(f, chi, u, params, dt, hamiltonian)
-        tau = state.tau + i * dt
-        if i % check_every == 0 and not (np.all(np.isfinite(f)) and np.all(np.isfinite(u))):
-            raise IntegrationDivergedError(tau)
+        a, chi, u = _rk4(a, chi, u, params, dt)
         if i % stride == 0:
+            tau = i * dt
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
+                raise IntegrationDivergedError(tau)
             chi %= TWO_PI
-            _record(tau, f, u, chi, out)
-    return TimeSeries(
-        tau=np.array(out["tau"]),
-        theta=np.array(out["theta"]),
-        v_cm=np.array(out["v_cm"]),
-        intensities=np.array(out["intensities"]),
-        kinetic_energy=np.array(out["kinetic_energy"]),
-        field_momentum=np.array(out["field_momentum"]),
-    )
+            rows.append(_sample(tau, a, chi, u))
+    return TimeSeries.from_samples(rows)
 
 
 @dataclass(frozen=True)
@@ -316,7 +217,7 @@ def slow_beam_preset(
     )
 
 
-def momentum_invariant(state: SimulationState, params: SystemParams) -> float:
+def momentum_invariant(a, u, params: SystemParams) -> float:
     """Closed-system invariant P = (2/rho_r) sum u_j + field momentum.
 
     The field term |a+|^2 - |a-|^2 + |b+|^2 - |b-|^2 enters with unit
@@ -324,6 +225,4 @@ def momentum_invariant(state: SimulationState, params: SystemParams) -> float:
     equations already carries the collective factor).  Conserved exactly
     when decay and pumps are switched off (``hamiltonian=True`` stepping).
     """
-    inten = state.fields.intensities()
-    pf = inten[0] - inten[1] + inten[2] - inten[3]
-    return float((2.0 / params.rho_r) * np.sum(state.ensemble.u) + pf)
+    return float((2.0 / params.rho_r) * np.sum(u) + field_momentum(np.abs(a) ** 2))

@@ -3,9 +3,9 @@
 The one-body distribution obeys (scaled units, kappa = 1)
 
     df/dtau + u df/dchi + F(chi, tau) df/du = 0,
-    F = 2 rho_r u0 Im[C e^{i chi}],
 
-coupled to the four mode amplitudes through theta = integral e^{-i chi} f.
+with the force F and the four mode equations of :mod:`ringcarl.core`,
+coupled through theta = integral e^{-i chi} f.
 One time step is Strang-split semi-Lagrangian (half chi-advection, full
 u-kick with the fields advanced alongside, half chi-advection), each 1D
 shift done by cubic B-spline interpolation.  The chi domain is one
@@ -36,11 +36,15 @@ from scipy.ndimage import spline_filter1d
 from .core import (
     TWO_PI,
     DomainError,
-    FieldState,
+    IntegrationDivergedError,
     SystemParams,
+    TimeSeries,
+    coupling,
+    field_momentum,
+    force,
+    mode_rhs,
     steady_state_fields,
 )
-from .nbody import IntegrationDivergedError, TimeSeries
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -50,6 +54,11 @@ __all__ = [
     "run_vlasov",
     "kinetic_momentum_invariant",
 ]
+
+# mass leaving the truncated u domain: warn above this much in one step,
+# fail once this much has left in total
+OVERFLOW_WARN = 1e-8
+OVERFLOW_FAIL = 1e-3
 
 
 @dataclass
@@ -102,18 +111,17 @@ def make_grid(
     nv: int = 512,
     mean_u: float = 0.0,
     cosine_eps: float = 0.0,
-    u_margin: float = 2.0,
-    u_span: tuple[float, float] | None = None,
 ) -> PhaseSpaceGrid:
-    """Maxwellian grid with optional 1 + eps cos(chi) density modulation."""
+    """Maxwellian grid with optional 1 + eps cos(chi) density modulation.
+
+    The u domain spans eight thermal widths plus a margin of 2 on each side
+    of ``mean_u``.
+    """
     if params.u_t <= 0:
         raise DomainError("make_grid needs a thermal distribution (u_t > 0)")
     sigma = params.u_t / np.sqrt(2.0)
-    if u_span is None:
-        lo = mean_u - 8.0 * sigma - u_margin
-        hi = mean_u + 8.0 * sigma + u_margin
-    else:
-        lo, hi = u_span
+    lo = mean_u - 8.0 * sigma - 2.0
+    hi = mean_u + 8.0 * sigma + 2.0
     chi = TWO_PI * np.arange(nx) / nx
     u = np.linspace(lo, hi, nv)
     fu = np.exp(-(((u - mean_u) / params.u_t) ** 2))
@@ -237,47 +245,26 @@ def grid_moments(grid: PhaseSpaceGrid):
     return theta, v_cm, ekin
 
 
-def _field_rhs(f4: np.ndarray, theta: complex, params: SystemParams, hamiltonian: bool):
-    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
-    nu0 = params.nu0
-    ap, am, bp, bm = f4
-    df = np.array(
-        [
-            lam * ap - 1j * nu0 * theta * am,
-            lam * am - 1j * nu0 * np.conj(theta) * ap,
-            lam * bp - 1j * nu0 * theta * bm,
-            lam * bm - 1j * nu0 * np.conj(theta) * bp,
-        ],
-        dtype=complex,
-    )
-    if not hamiltonian:
-        df[0] += params.eta_plus
-        df[3] += params.eta_minus
-    return df
-
-
-def _field_rk4(f4, theta, params, dt, hamiltonian):
-    k1 = _field_rhs(f4, theta, params, hamiltonian)
-    k2 = _field_rhs(f4 + 0.5 * dt * k1, theta, params, hamiltonian)
-    k3 = _field_rhs(f4 + 0.5 * dt * k2, theta, params, hamiltonian)
-    k4 = _field_rhs(f4 + dt * k3, theta, params, hamiltonian)
-    return f4 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _field_rk4(a, theta, params, dt, hamiltonian):
+    k1 = mode_rhs(a, theta, params, hamiltonian)
+    k2 = mode_rhs(a + 0.5 * dt * k1, theta, params, hamiltonian)
+    k3 = mode_rhs(a + 0.5 * dt * k2, theta, params, hamiltonian)
+    k4 = mode_rhs(a + dt * k3, theta, params, hamiltonian)
+    return a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def vlasov_step(
     grid: PhaseSpaceGrid,
-    fields: FieldState,
+    a: np.ndarray,
     params: SystemParams,
     dt: float,
     hamiltonian: bool = False,
-    overflow_warn: float = 1e-8,
-    overflow_fail: float = 1e-3,
-) -> tuple[PhaseSpaceGrid, FieldState]:
-    """One Strang-split step of size dt; returns the advanced (grid, fields).
+) -> tuple[PhaseSpaceGrid, np.ndarray]:
+    """One Strang-split step of size dt; returns the advanced (grid, a).
 
     The u-kick leaves the chi marginal (hence theta) untouched, so the mode
-    amplitudes see a constant theta across the whole step and are advanced
-    by RK4 in two halves around the kick.
+    amplitudes a = (a+, a-, b+, b-) see a constant theta across the whole
+    step and are advanced by RK4 in two halves around the kick.
 
     Raises IntegrationDivergedError, with tau = nan since the step does not
     know the time, once the kick or f stops being finite.
@@ -285,18 +272,11 @@ def vlasov_step(
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     f = shift_periodic_chi(grid.f, grid.u * (0.5 * dt) / grid.dchi)
-    out = grid.copy()
-    out.f = f
+    out = PhaseSpaceGrid(grid.chi, grid.u, f, grid.lost_mass)
     theta, _, _ = grid_moments(out)
 
-    f4 = fields.as_array()
-    f4 = _field_rk4(f4, theta, params, 0.5 * dt, hamiltonian)
-    mid = FieldState.from_array(f4)
-
-    c = mid.alpha_plus * np.conj(mid.alpha_minus) + mid.beta_plus * np.conj(mid.beta_minus)
-    kick = 2.0 * params.rho_r * params.u0 * (
-        c.real * np.sin(out.chi) + c.imag * np.cos(out.chi)
-    )
+    a = _field_rk4(a, theta, params, 0.5 * dt, hamiltonian)
+    kick = force(np.sin(out.chi), np.cos(out.chi), coupling(a), params)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
     mass_before = out.mass()
@@ -304,39 +284,36 @@ def vlasov_step(
     lost = mass_before - out.mass()
     out.lost_mass += lost
 
-    f4 = _field_rk4(f4, theta, params, 0.5 * dt, hamiltonian)
+    a = _field_rk4(a, theta, params, 0.5 * dt, hamiltonian)
 
     out.f = shift_periodic_chi(out.f, out.u * (0.5 * dt) / out.dchi)
     if not np.all(np.isfinite(out.f)):
         raise IntegrationDivergedError(float("nan"))
-    if out.lost_mass > overflow_fail:
+    if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
-            f"mass leaving the truncated u domain exceeds {overflow_fail:g} "
+            f"mass leaving the truncated u domain exceeds {OVERFLOW_FAIL:g} "
             f"(lost {out.lost_mass:.3e})"
         )
-    if lost > overflow_warn:
+    if lost > OVERFLOW_WARN:
         warnings.warn(
             f"mass loss {lost:.3e} through the u boundary in one step",
             RuntimeWarning,
             stacklevel=2,
         )
-    return out, FieldState.from_array(f4)
+    return out, a
 
 
-def kinetic_momentum_invariant(
-    grid: PhaseSpaceGrid, fields: FieldState, params: SystemParams
-) -> float:
+def kinetic_momentum_invariant(grid: PhaseSpaceGrid, a: np.ndarray, params: SystemParams) -> float:
     """Grid-quadrature version of the closed-system momentum invariant."""
     _, v_cm, _ = grid_moments(grid)
-    inten = fields.intensities()
-    pf = inten[0] - inten[1] + inten[2] - inten[3]
+    pf = field_momentum(np.abs(a) ** 2)
     return float((2.0 / params.rho_r) * params.n_particles * v_cm + pf)
 
 
 def run_vlasov(
     params: SystemParams,
     grid: PhaseSpaceGrid | None = None,
-    fields: FieldState | None = None,
+    fields: np.ndarray | None = None,
     t_end: float = 10.0,
     sample_every: float = 0.1,
     dt: float = 1e-2,
@@ -345,15 +322,15 @@ def run_vlasov(
     nx: int = 256,
     nv: int = 512,
     snapshot_every: float | None = None,
-    hamiltonian: bool = False,
 ):
     """Integrate the kinetic system; returns (TimeSeries, snapshots).
 
-    Snapshots are (tau, PhaseSpaceGrid) pairs taken every
-    ``snapshot_every`` (None: only the final state).  The kinetic_energy
-    diagnostic is per particle, matching the N-body TimeSeries convention.
-    A step that diverges raises IntegrationDivergedError carrying the time
-    that step was to reach.
+    ``fields`` holds the initial mode amplitudes (a+, a-, b+, b-); the
+    steady state by default.  Snapshots are (tau, PhaseSpaceGrid) pairs
+    taken every ``snapshot_every`` (None: only the final state).  The
+    kinetic_energy diagnostic is per particle, matching the N-body
+    TimeSeries convention.  A step that diverges raises
+    IntegrationDivergedError carrying the time that step was to reach.
     """
     if t_end <= 0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -361,45 +338,24 @@ def run_vlasov(
         grid = make_grid(params, nx=nx, nv=nv, mean_u=mean_u, cosine_eps=cosine_eps)
     else:
         grid = grid.copy()
-    if fields is None:
-        fields = steady_state_fields(params)
+    a = steady_state_fields(params) if fields is None else fields
     n_steps = int(round(t_end / dt))
     stride = max(int(round(sample_every / dt)), 1)
     snap_stride = None if snapshot_every is None else max(int(round(snapshot_every / dt)), 1)
-    rec = {k: [] for k in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum")}
+    rows = [(0.0, *grid_moments(grid), a)]
     snaps = []
-
-    def record(tau):
-        theta, v_cm, ekin = grid_moments(grid)
-        inten = fields.intensities()
-        rec["tau"].append(tau)
-        rec["theta"].append(theta)
-        rec["v_cm"].append(v_cm)
-        rec["intensities"].append(inten)
-        rec["kinetic_energy"].append(ekin)
-        rec["field_momentum"].append(float(inten[0] - inten[1] + inten[2] - inten[3]))
-
-    record(0.0)
     if snap_stride is not None:
         snaps.append((0.0, grid.copy()))
     for i in range(1, n_steps + 1):
         tau = i * dt
         try:
-            grid, fields = vlasov_step(grid, fields, params, dt, hamiltonian=hamiltonian)
+            grid, a = vlasov_step(grid, a, params, dt)
         except IntegrationDivergedError as exc:
             raise IntegrationDivergedError(tau) from exc
         if i % stride == 0:
-            record(tau)
+            rows.append((tau, *grid_moments(grid), a))
         if snap_stride is not None and i % snap_stride == 0:
             snaps.append((tau, grid.copy()))
     if snap_stride is None:
         snaps.append((n_steps * dt, grid.copy()))
-    series = TimeSeries(
-        tau=np.array(rec["tau"]),
-        theta=np.array(rec["theta"]),
-        v_cm=np.array(rec["v_cm"]),
-        intensities=np.array(rec["intensities"]),
-        kinetic_energy=np.array(rec["kinetic_energy"]),
-        field_momentum=np.array(rec["field_momentum"]),
-    )
-    return series, snaps
+    return TimeSeries.from_samples(rows), snaps

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ringcarl import bgk, nbody
-from ringcarl.core import DomainError, SystemParams
+from ringcarl import bgk
+from ringcarl.core import DomainError, SystemParams, TimeSeries
 
 
 def make_params(delta=-1.0, n=10000):
@@ -94,7 +94,7 @@ class TestDirection:
 class TestValidateWave:
     def synthetic(self, v_ph, theta_mag, m=200):
         tau = np.linspace(0, 20, m)
-        return nbody.TimeSeries(
+        return TimeSeries(
             tau=tau,
             theta=theta_mag * np.exp(-1j * v_ph * tau),
             v_cm=np.full(m, v_ph),

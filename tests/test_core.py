@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from ringcarl import nbody
 from ringcarl.core import (
     DomainError,
-    FieldState,
-    ParticleEnsemble,
     SystemParams,
-    compute_order_parameter,
-    dimensionless_potential,
+    coupling,
     force,
-    potential_coefficient,
+    mode_rhs,
     sample_maxwellian,
     steady_state_fields,
 )
@@ -63,48 +61,53 @@ class TestSystemParams:
 
 class TestEnsemble:
     def test_chi_wrapped(self):
-        e = ParticleEnsemble(np.array([-0.1, 7.0]), np.zeros(2))
-        assert np.all((e.chi >= 0) & (e.chi < 2 * np.pi))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            ParticleEnsemble(np.zeros(3), np.zeros(4))
+        p = make_params(n_particles=2)
+        a = steady_state_fields(p)
+        _, chi, _ = nbody.step(a, np.array([-0.1, 7.0]), np.zeros(2), p, 1e-3)
+        assert np.all((chi >= 0) & (chi < 2 * np.pi))
 
     def test_order_parameter_limits(self):
         # perfectly bunched -> |theta| = 1; uniform grid -> 0
-        bunched = ParticleEnsemble(np.full(64, 1.3), np.zeros(64))
-        assert abs(compute_order_parameter(bunched)) == pytest.approx(1.0)
-        grid = ParticleEnsemble(2 * np.pi * np.arange(64) / 64, np.zeros(64))
-        assert abs(compute_order_parameter(grid)) < 1e-12
+        a = np.zeros(4, dtype=complex)
+        u = np.zeros(64)
+        theta = nbody._sample(0.0, a, np.full(64, 1.3), u)[1]
+        assert abs(theta) == pytest.approx(1.0)
+        theta = nbody._sample(0.0, a, 2 * np.pi * np.arange(64) / 64, u)[1]
+        assert abs(theta) < 1e-12
 
 
 class TestPotential:
     def test_force_is_minus_gradient(self):
         p = make_params()
-        f = FieldState(1.0 + 0.5j, 0.2 - 0.1j, 0.3j, 0.7 + 0.2j)
+        c = coupling(np.array([1.0 + 0.5j, 0.2 - 0.1j, 0.3j, 0.7 + 0.2j]))
         chi = np.linspace(0, 2 * np.pi, 7, endpoint=False)
+
+        def phi(x):
+            return 2.0 * p.u0 * np.real(c * np.exp(1j * x))
+
         h = 1e-6
-        grad = (dimensionless_potential(chi + h, f, p)
-                - dimensionless_potential(chi - h, f, p)) / (2 * h)
-        np.testing.assert_allclose(force(chi, f, p), -p.rho_r * grad, rtol=1e-7)
+        grad = (phi(chi + h) - phi(chi - h)) / (2 * h)
+        np.testing.assert_allclose(force(np.sin(chi), np.cos(chi), c, p),
+                                   -p.rho_r * grad, rtol=1e-7)
 
     def test_flat_without_backscatter(self):
         p = make_params()
-        f = steady_state_fields(p)
-        assert potential_coefficient(f) == 0
-        assert np.all(force(np.linspace(0, 6, 5), f, p) == 0)
+        c = coupling(steady_state_fields(p))
+        assert c == 0
+        chi = np.linspace(0, 6, 5)
+        assert np.all(force(np.sin(chi), np.cos(chi), c, p) == 0)
 
 
 class TestSteadyState:
     def test_is_fixed_point(self):
-        from ringcarl.nbody import SimulationState, rhs
-
         p = make_params()
         n = 64
-        ens = ParticleEnsemble(2 * np.pi * np.arange(n) / n, np.zeros(n))
-        state = SimulationState(0.0, steady_state_fields(p), ens)
-        df, _, du = rhs(state, p)
-        assert np.max(np.abs(df)) < 1e-12 * max(abs(p.eta_plus), 1.0)
+        chi = 2 * np.pi * np.arange(n) / n
+        a = steady_state_fields(p)
+        theta = (np.sum(np.cos(chi)) - 1j * np.sum(np.sin(chi))) / n
+        da = mode_rhs(a, theta, p)
+        du = force(np.sin(chi), np.cos(chi), coupling(a), p)
+        assert np.max(np.abs(da)) < 1e-12 * max(abs(p.eta_plus), 1.0)
         assert np.max(np.abs(du)) < 1e-14
 
 

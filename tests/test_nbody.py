@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from ringcarl import nbody
-from ringcarl.core import (
-    DomainError,
-    FieldState,
-    ParticleEnsemble,
-    SystemParams,
-    steady_state_fields,
-)
+from ringcarl.core import DomainError, IntegrationDivergedError, SystemParams, TimeSeries
 
 TWO_PI = 2 * np.pi
 
@@ -25,11 +19,18 @@ def make_params(**kw):
 
 
 def random_state(params, rng=None):
+    """(a, chi, u) with random modes and particles."""
     rng = rng or np.random.default_rng(11)
     n = params.n_particles
-    ens = ParticleEnsemble(rng.uniform(0, TWO_PI, n), rng.normal(0, 1, n))
-    f = FieldState(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
-    return nbody.SimulationState(0.0, f, ens)
+    chi, u = rng.uniform(0, TWO_PI, n), rng.normal(0, 1, n)
+    a = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return a, chi, u
+
+
+def evolve(state, params, dt, n, hamiltonian=False):
+    for _ in range(n):
+        state = nbody.step(*state, params, dt, hamiltonian)
+    return state
 
 
 class TestIntegrator:
@@ -39,10 +40,8 @@ class TestIntegrator:
         s0 = random_state(p)
 
         def endpoint(dt):
-            s = s0.copy()
-            for _ in range(int(round(0.5 / dt))):
-                s = nbody.step(s, p, dt)
-            return np.concatenate([s.fields.as_array(), s.ensemble.u])
+            a, _, u = evolve(s0, p, dt, int(round(0.5 / dt)))
+            return np.concatenate([a, u])
 
         ref = endpoint(0.003125)
         e1 = np.max(np.abs(endpoint(0.05) - ref))
@@ -57,35 +56,31 @@ class TestIntegrator:
         s = random_state(p)
         lam = 1j * p.delta - 1.0
         tau = 1.7
-        out = s.copy()
-        for _ in range(1700):
-            out = nbody.step(out, p, 1e-3)
-        a0 = s.fields.alpha_plus
+        out, _, _ = evolve(s, p, 1e-3, 1700)
+        a0 = s[0][0]
         expect = (a0 + p.eta_plus / lam) * np.exp(lam * tau) - p.eta_plus / lam
-        assert out.fields.alpha_plus == pytest.approx(expect, rel=1e-9)
+        assert out[0] == pytest.approx(expect, rel=1e-9)
 
     def test_rejects_bad_dt(self):
         p = make_params()
         with pytest.raises(DomainError):
-            nbody.step(random_state(p), p, 0.0)
+            nbody.step(*random_state(p), p, 0.0)
 
     def test_divergence_detected(self):
         p = make_params()
-        s = random_state(p)
-        s.ensemble.u[0] = np.inf
-        with pytest.raises(nbody.IntegrationDivergedError):
-            nbody.step(s, p, 1e-3)
+        a, chi, u = random_state(p)
+        u[0] = np.inf
+        with pytest.raises(IntegrationDivergedError):
+            nbody.step(a, chi, u, p, 1e-3)
 
 
 class TestConservation:
     def test_momentum_invariant_closed_system(self):
         p = make_params()
-        s = random_state(p)
-        p0 = nbody.momentum_invariant(s, p)
-        out = s.copy()
-        for _ in range(2000):
-            out = nbody.step(out, p, 5e-3, hamiltonian=True)
-        p1 = nbody.momentum_invariant(out, p)
+        a, _, u = s = random_state(p)
+        p0 = nbody.momentum_invariant(a, u, p)
+        a, _, u = evolve(s, p, 5e-3, 2000, hamiltonian=True)
+        p1 = nbody.momentum_invariant(a, u, p)
         assert abs(p1 - p0) / max(abs(p0), 1.0) < 1e-10
 
 
@@ -98,22 +93,13 @@ class TestSymmetries:
         c = 0.83
 
         def shift(st):
-            out = st.copy()
-            out.ensemble.chi = (out.ensemble.chi + c) % TWO_PI
-            out.fields.alpha_minus *= np.exp(1j * c)
-            out.fields.beta_plus *= np.exp(-1j * c)
-            return out
+            a, chi, u = st
+            return a * np.exp([0, 1j * c, -1j * c, 0]), (chi + c) % TWO_PI, u
 
-        def evolve(st, n=200):
-            for _ in range(n):
-                st = nbody.step(st, p, 1e-3)
-            return st
-
-        a = evolve(shift(s))
-        b = shift(evolve(s))
-        np.testing.assert_allclose(a.fields.as_array(), b.fields.as_array(),
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(a.ensemble.u, b.ensemble.u, atol=1e-12)
+        a = evolve(shift(s), p, 1e-3, 200)
+        b = shift(evolve(s, p, 1e-3, 200))
+        np.testing.assert_allclose(a[0], b[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(a[2], b[2], atol=1e-12)
 
     def test_mirror_covariance(self):
         """Swapping the pumps while flipping chi, u maps solutions onto
@@ -123,30 +109,20 @@ class TestSymmetries:
         s = random_state(p)
 
         def mirror(st):
-            out = st.copy()
-            out.ensemble.chi = (-out.ensemble.chi) % TWO_PI
-            out.ensemble.u = -out.ensemble.u
-            f = st.fields
-            out.fields = FieldState(f.beta_minus, f.beta_plus,
-                                    f.alpha_minus, f.alpha_plus)
-            return out
+            a, chi, u = st
+            return a[::-1], (-chi) % TWO_PI, -u
 
-        a = mirror(s)
-        for _ in range(200):
-            s = nbody.step(s, p, 1e-3)
-            a = nbody.step(a, pm, 1e-3)
-        b = mirror(s)
-        np.testing.assert_allclose(a.fields.as_array(), b.fields.as_array(),
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(np.sort(a.ensemble.u), np.sort(b.ensemble.u),
-                                   atol=1e-12)
+        a = evolve(mirror(s), pm, 1e-3, 200)
+        b = mirror(evolve(s, p, 1e-3, 200))
+        np.testing.assert_allclose(a[0], b[0], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(np.sort(a[2]), np.sort(b[2]), atol=1e-12)
 
 
 class TestRunAndClassify:
     def synthetic_series(self, theta_mag, v_slope):
         tau = np.linspace(0, 10, 101)
         m = tau.size
-        return nbody.TimeSeries(
+        return TimeSeries(
             tau=tau,
             theta=theta_mag * np.exp(-0.3j * tau),
             v_cm=v_slope * tau,
@@ -173,7 +149,7 @@ class TestRunAndClassify:
     def test_classify_too_short(self):
         p = make_params()
         s = self.synthetic_series(0.4, 0.0)
-        short = nbody.TimeSeries(*(getattr(s, k)[:4] for k in (
+        short = TimeSeries(*(getattr(s, k)[:4] for k in (
             "tau", "theta", "v_cm", "intensities", "kinetic_energy",
             "field_momentum")))
         with pytest.raises(DomainError):
@@ -190,14 +166,12 @@ class TestRunAndClassify:
     def test_quiet_start_seeds_half_eps(self):
         p = make_params(n_particles=1000, u0=-1e-3)
         init = nbody.InitialCondition(cosine_eps=1e-2, quiet_velocities=True)
-        state = nbody._initial_state(p, init)
-        from ringcarl.core import compute_order_parameter
-
-        th = compute_order_parameter(state.ensemble)
+        _, chi, u = nbody._initial_state(p, init)
+        th = np.mean(np.exp(-1j * chi))
         assert abs(th) == pytest.approx(5e-3, rel=1e-3)
         # tiled ladder: velocity-position correlation far below the
         # 1/sqrt(N) shot-noise level random pairing would give
-        corr = np.mean(state.ensemble.u * np.exp(-1j * state.ensemble.chi))
+        corr = np.mean(u * np.exp(-1j * chi))
         assert abs(corr) < 1e-6
 
     def test_slow_beam_rejects_asymmetric(self):

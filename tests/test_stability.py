@@ -11,12 +11,6 @@ def make_params(u_t=3.0, delta=-1.0, n=10000):
     )
 
 
-def with_pumps(params, s, a):
-    ep = np.sqrt((s + a) / 2)
-    em = np.sqrt((s - a) / 2)
-    return params.with_pumps(complex(ep), complex(em))
-
-
 class TestLandauIntegral:
     def test_cold_limit(self):
         p = make_params(u_t=0.0)
@@ -64,7 +58,7 @@ class TestRoots:
         p = make_params()
         s = 2 * st.threshold_sc_a0(p)
         point = st.PumpPoint(s, 0.0)
-        root = st.max_growth_rate(point, with_pumps(p, s, 0.0))
+        root = st.max_growth_rate(point, p.with_pump_split(s, 0.0))
         assert root is not None and root.real > 0
         # the root actually solves D(s) = 0
         assert abs(st.dispersion(root, point, p)) < 1e-8

@@ -4,8 +4,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.ndimage import spline_filter1d
 
 from ringcarl import vlasov as vl
-from ringcarl.core import DomainError, FieldState, SystemParams, steady_state_fields
-from ringcarl.nbody import IntegrationDivergedError
+from ringcarl.core import (
+    DomainError,
+    IntegrationDivergedError,
+    SystemParams,
+    coupling,
+    force,
+    steady_state_fields,
+)
 
 
 def make_params(s=8.0, a=2.0, **kw):
@@ -157,7 +163,7 @@ class TestStep:
         fl = steady_state_fields(p)
         g2, fl2 = vl.vlasov_step(g, fl, p, 1e-2)
         assert np.max(np.abs(g2.f - g.f)) < 1e-13
-        np.testing.assert_allclose(fl2.as_array(), fl.as_array(), atol=1e-12)
+        np.testing.assert_allclose(fl2, fl, atol=1e-12)
 
     def test_free_streaming_conserves_mass_and_u_marginal(self):
         p = make_params(s=0.0, a=0.0)
@@ -173,12 +179,37 @@ class TestStep:
         """The u-kick must not change theta (it shifts along u only)."""
         p = make_params(s=50.0, a=10.0)
         g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
-        fl = FieldState(1.0, 0.5j, 0.2, 0.8 + 0.1j)
+        fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
         col0 = np.sum(g.f, axis=1).copy()
-        c = fl.alpha_plus * np.conj(fl.alpha_minus) + fl.beta_plus * np.conj(fl.beta_minus)
-        kick = 2 * p.rho_r * p.u0 * (c.real * np.sin(g.chi) + c.imag * np.cos(g.chi))
+        kick = force(np.sin(g.chi), np.cos(g.chi), coupling(fl), p)
         out = vl.shift_clamped_u(g.f, kick * 0.01 / g.du)
         np.testing.assert_allclose(np.sum(out, axis=1), col0, rtol=1e-12)
+
+    def test_mirror_covariance(self):
+        """Swapping the pumps while sending chi -> -chi, u -> -u and
+        reversing (a+, a-, b+, b-) commutes with the time evolution."""
+        p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
+        pm = p.with_pumps(p.eta_minus, p.eta_plus)
+        g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
+        # no mirror symmetry in the initial state
+        g.f *= (1.0 + 0.3 * np.sin(g.chi))[:, None] * np.exp(0.1 * g.u)[None, :]
+        fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
+
+        def mirror(grid, a):
+            out = grid.copy()
+            out.f = grid.f[-np.arange(grid.nx) % grid.nx, ::-1]
+            return out, a[::-1]
+
+        def evolve(grid, a, params):
+            for _ in range(40):
+                grid, a = vl.vlasov_step(grid, a, params, 0.05)
+            return grid, a
+
+        ga, aa = evolve(*mirror(g, fl), pm)
+        gb, ab = mirror(*evolve(g, fl, p))
+        np.testing.assert_allclose(ga.f, gb.f, rtol=1e-10, atol=1e-12 * np.max(gb.f))
+        np.testing.assert_allclose(aa, ab, rtol=1e-10, atol=1e-12)
+        assert np.max(np.abs(ga.f - g.f)) > 1e-2  # the state moved
 
     def test_bad_dt(self):
         p = make_params()
@@ -201,7 +232,7 @@ class TestRun:
     def test_momentum_invariant_closed_system(self):
         p = make_params(s=8.0, a=2.0)
         g = vl.make_grid(p, nx=64, nv=128, cosine_eps=1e-2)
-        fl = FieldState(0.5, 0.1j, 0.2, 0.4)
+        fl = np.array([0.5, 0.1j, 0.2, 0.4])
         p0 = vl.kinetic_momentum_invariant(g, fl, p)
         for _ in range(200):
             g, fl = vl.vlasov_step(g, fl, p, 5e-3, hamiltonian=True)
@@ -219,7 +250,7 @@ class TestRun:
     def test_run_matches_gather_reference(self, monkeypatch):
         """A whole run through the slice kernels equals one through the gathers."""
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
-        fl = FieldState(1.0, 0.5j, 0.2, 0.8 + 0.1j)
+        fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
 
         def run():
             g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
