@@ -207,17 +207,32 @@ def _sweep_cell(args):
     return [_fmt(s), _fmt(a), regime, _fmt(growth.real), _fmt(growth.imag)]
 
 
-def _existing_cells(path: Path, manifest_path: Path) -> set[tuple[str, str]]:
-    """Cells already present in a previous (checksum-verified) sweep output."""
-    if not path.exists():
-        return set()
-    if manifest_path.exists():
-        from .config import sha256_file
+def _without_grid(snapshot: dict) -> dict:
+    """A config snapshot minus the sweep grid, which may grow between runs."""
+    return {
+        sec: {k: v for k, v in kv.items()
+              if sec != "sweep" or k not in ("s_over_sc", "a_over_s")}
+        for sec, kv in snapshot.items()
+    }
 
-        old = RunManifest.from_json(manifest_path.read_text())
-        recorded = old.files.get(path.name)
-        if recorded is not None and recorded != sha256_file(path):
-            return set()  # stale/corrupt partial output: recompute everything
+
+def _existing_cells(path: Path, manifest_path: Path, snapshot: dict) -> set[tuple[str, str]]:
+    """Cells of a previous sweep output that a run of `snapshot` may reuse.
+
+    Rows are reused only when the previous manifest verifies the CSV's
+    checksum and recorded the same config apart from the sweep grid;
+    otherwise (no manifest, a stale or corrupt CSV, other physics or
+    options) everything is recomputed.
+    """
+    if not path.exists() or not manifest_path.exists():
+        return set()
+    from .config import sha256_file
+
+    old = RunManifest.from_json(manifest_path.read_text())
+    if old.files.get(path.name) != sha256_file(path):
+        return set()
+    if _without_grid(old.config) != _without_grid(snapshot):
+        return set()
     done = set()
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -237,7 +252,7 @@ def _mode_phase_diagram(
         for aos in sw["a_over_s"]
     ]
     path = outdir / "phase_diagram.csv"
-    done = _existing_cells(path, outdir / "manifest.json")
+    done = _existing_cells(path, outdir / "manifest.json", cfg.snapshot)
     todo = [
         (s, a, cfg.params, sw["dynamic"], cfg.t_end, cfg.dt, cfg.sample_every)
         for (s, a) in cells

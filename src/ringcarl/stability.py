@@ -17,11 +17,29 @@ which is entire in s, so the Landau continuation onto and past the
 imaginary axis is automatic.  An adaptive-quadrature evaluation (valid for
 Re s > 0 only) is kept as an independent oracle and as the fallback for
 non-Maxwellian velocity distributions.
+
+Unstable roots are searched on a closed contour: down the imaginary axis
+from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
+
+* Radius.  s^2 I(s) / prefactor depends on s / u_t only and is bounded by
+  its sup on the imaginary axis, c* = 1.8227 (Phragmen-Lindelof).  With
+  |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 this gives, per pump cell, a
+  power of two R beyond which D has no zero in Re s >= 0 (Rouche).
+* Cached table.  I(s) and I'(s) on the contour samples depend only on the
+  pump-free physics and R, so they are computed once and reused by every
+  cell; D is affine in (S, A) and costs array arithmetic per cell.
+* Count and location.  The winding of D on the samples (refined where a
+  phase step reaches pi/2) counts the unstable zeros.  A single zero is
+  started from the contour moment (1/2 pi i) oint s D'/D ds and
+  Newton-polished; more zeros, or a failed polish, fall back to rectangle
+  bisection inside the same disc, and the distinct roots found must match
+  the count.  The cold gas (u_t = 0) is solved as a quartic instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -58,6 +76,8 @@ class PumpPoint:
     a_asym: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.s_total) and np.isfinite(self.a_asym)):
+            raise DomainError(f"S and A must be finite, got {self.s_total}, {self.a_asym}")
         if self.s_total < 0:
             raise DomainError(f"S must be >= 0, got {self.s_total}")
         if abs(self.a_asym) > self.s_total * (1 + 1e-12):
@@ -146,23 +166,31 @@ def landau_integral_quadrature(
     return _landau_prefactor(params) * complex(re, im)
 
 
+def _dispersion_from(s, i_s, point: PumpPoint, delta: float):
+    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s), given I(s)."""
+    return delta**2 + (s + 1.0) ** 2 + ((s + 1.0) * point.a_asym - 1j * delta * point.s_total) * i_s
+
+
+def _dispersion_derivative_from(s, i_s, di_s, point: PumpPoint, delta: float):
+    """D'(s), given I(s) and I'(s)."""
+    return (
+        2.0 * (s + 1.0)
+        + point.a_asym * i_s
+        + ((s + 1.0) * point.a_asym - 1j * delta * point.s_total) * di_s
+    )
+
+
 def dispersion(s, point: PumpPoint, params: SystemParams):
     """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s)."""
     s = np.asarray(s, dtype=complex)
-    i_s = landau_integral(s, params)
-    d = params.delta
-    return d**2 + (s + 1.0) ** 2 + ((s + 1.0) * point.a_asym - 1j * d * point.s_total) * i_s
+    return _dispersion_from(s, landau_integral(s, params), point, params.delta)
 
 
 def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
     s = np.asarray(s, dtype=complex)
-    d = params.delta
-    i_s = landau_integral(s, params)
-    di_s = _landau_kernel_derivative(s, params)
-    return (
-        2.0 * (s + 1.0)
-        + point.a_asym * i_s
-        + ((s + 1.0) * point.a_asym - 1j * d * point.s_total) * di_s
+    return _dispersion_derivative_from(
+        s, landau_integral(s, params), _landau_kernel_derivative(s, params),
+        point, params.delta,
     )
 
 
@@ -170,26 +198,86 @@ def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
 # Right-half-plane root counting and polishing
 # ---------------------------------------------------------------------------
 
+# sup |s^2 I(s)| / prefactor over Re s >= 0 for the Maxwellian.  s^2 K(s)
+# depends on s / u_t only and is bounded and analytic there, so by
+# Phragmen-Lindelof the sup is reached on the imaginary axis: 1.822657...
+# at |s| = 1.6505 u_t (dense axis sample, see tests), rounded up.
+_G_SUP = 1.8227
+# Contour samples on the imaginary axis (iR -> -iR; even, so s = 0 is one:
+# for u_t below the spacing, D winds once within |s| ~ u_t of 0, and that
+# sample makes the phase refinement see it) and on the semicircle.
+_N_AXIS = 500
+_N_ARC = 100
+_AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
+
+
+def _search_radius(point: PumpPoint, params: SystemParams) -> float:
+    """Power of two R with no zero of D in Re s >= 0, |s| >= R (Rouche).
+
+    In Re s >= 0, |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 and
+    |I(s)| <= _G_SUP * pref / |s|^2, so D != 0 wherever
+    _G_SUP pref (|A| (r+1) + |delta| S) < r^2 (r^2 + 1 - delta^2), r = |s|,
+    r^2 > delta^2.  The ratio of the two sides grows with r there, so the
+    first power of two that satisfies it bounds every unstable zero.
+    """
+    bound = _G_SUP * _landau_prefactor(params)
+    d2 = params.delta**2
+    a, s_tot = abs(point.a_asym), point.s_total
+    r = 1.0
+    while not (r * r > d2 and bound * (a * (r + 1.0) + abs(params.delta) * s_tot)
+               < r * r * (r * r + 1.0 - d2)):
+        r *= 2.0
+    return r
+
+
+@functools.lru_cache(maxsize=64)
+def _contour_table(physics: SystemParams, radius: float, shift: float):
+    """Closed contour samples s with I(s) and I'(s), shared by every pump cell.
+
+    The contour runs down the line Re s = shift * radius from i radius to
+    -i radius, then back along the semicircle |s| = radius in Re s >= 0;
+    the last sample repeats the first.  ``physics`` carries no pump, so one
+    table serves a whole sweep.
+    """
+    t = np.linspace(1.0, -1.0, _N_AXIS, endpoint=False)
+    theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _N_ARC, endpoint=False)
+    s = np.concatenate(
+        [radius * (shift + 1j * t), radius * np.exp(1j * theta), [radius * (shift + 1j)]]
+    )
+    table = (s, landau_integral(s, physics), _landau_kernel_derivative(s, physics))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
 
 def _winding_number(fun, corners, n0: int = 64, max_depth: int = 24) -> int:
     """Winding of fun along the closed rectangle through `corners`.
 
-    Phase increments are refined recursively until each is below pi/2, which
-    guarantees an unambiguous branch.  Raises RuntimeError if refinement
+    ``fun`` takes an array of points.  Raises RuntimeError if refinement
     bottoms out (contour passing too close to a zero).
     """
-    pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        ts = np.linspace(0.0, 1.0, n0, endpoint=False)
-        pts.extend(a + (b - a) * ts)
-    vals = [fun(p) for p in pts]
-    total = 0.0
-    m = len(pts)
-    for i in range(m):
-        p0, p1 = pts[i], pts[(i + 1) % m]
-        v0, v1 = vals[i], vals[(i + 1) % m]
-        total += _phase_step(fun, p0, p1, v0, v1, max_depth)
-    return int(round(total / (2.0 * np.pi)))
+    ts = np.linspace(0.0, 1.0, n0, endpoint=False)
+    pts = np.concatenate(
+        [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
+        + [corners[:1]]
+    )
+    return _sampled_winding(fun, pts, fun(pts), max_depth)
+
+
+def _sampled_winding(fun, pts, vals, max_depth: int = 24) -> int:
+    """Winding of fun along the closed polygon `pts` (pts[-1] == pts[0]).
+
+    ``vals`` holds fun at `pts`.  Segments whose phase increment reaches
+    pi/2 are refined recursively until every increment is below pi/2, which
+    guarantees an unambiguous branch.  Raises RuntimeError if refinement
+    bottoms out.
+    """
+    if not np.all(vals):
+        raise RuntimeError("contour hit a zero of D")
+    dphi = np.angle(vals[1:] / vals[:-1])
+    for k in np.flatnonzero(np.abs(dphi) >= np.pi / 2):
+        dphi[k] = _phase_step(fun, pts[k], pts[k + 1], vals[k], vals[k + 1], max_depth)
+    return int(round(dphi.sum() / (2.0 * np.pi)))
 
 
 def _phase_step(fun, p0, p1, v0, v1, depth):
@@ -207,22 +295,38 @@ def _phase_step(fun, p0, p1, v0, v1, depth):
     )
 
 
-def _newton_polish(fun, dfun, s0, tol=1e-12, max_iter=60):
+def _newton_polish(fun, dfun, s0, radius, tol=1e-12, max_iter=60):
+    """Newton root from s0, or None if it fails.
+
+    It fails when an iterate leaves the half-disc Re s >= 0, |s| < radius,
+    where every unstable zero lies and I(s) is defined, or when it does
+    not converge within max_iter steps.  It has converged when a step is
+    below tol, or below sqrt(tol) and no shorter than the one before (the
+    steps then follow the rounding noise of D, e.g. for u_t << |s|).
+    """
     s = complex(s0)
+    prev = np.inf
     for _ in range(max_iter):
-        f = fun(s)
-        df = dfun(s)
+        if not (s.real >= 0.0 and abs(s) < radius):
+            return None
+        df = complex(dfun(s))
         if df == 0:
-            break
-        ds = f / df
-        s -= ds
-        if abs(ds) < tol * max(1.0, abs(s)):
-            return s
-    return s
+            return None
+        step = complex(fun(s)) / df
+        s -= step
+        scale = max(1.0, abs(s))
+        if abs(step) < tol * scale or prev <= abs(step) < np.sqrt(tol) * scale:
+            return s if s.real >= 0.0 and abs(s) < radius else None
+        prev = abs(step)
+    return None
 
 
-def _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, im_hi, depth=0):
-    """Recursive rectangle subdivision by the argument principle."""
+def _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, im_hi, radius, depth=0):
+    """Recursive rectangle subdivision by the argument principle.
+
+    A count-1 rectangle is Newton-polished from its centre; if that fails
+    or lands outside the rectangle, it is subdivided like a larger count.
+    """
     corners = [
         complex(re_lo, im_lo),
         complex(re_hi, im_lo),
@@ -249,23 +353,21 @@ def _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, im_hi, depth=0):
         raise RuntimeError("could not separate contour from zeros of D")
     if count == 0:
         return []
+    centre = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     small = max(re_hi - re_lo, im_hi - im_lo) < 1e-6
     if count == 1 or small or depth > 40:
-        s0 = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-        root = _newton_polish(fun, dfun, s0)
-        return [root] * count if small and count > 1 else [root]
+        root = _newton_polish(fun, dfun, centre, radius)
+        if small or depth > 40:
+            return [centre if root is None else root]
+        if root is not None and re_lo <= root.real <= re_hi and im_lo <= root.imag <= im_hi:
+            return [root]
     if re_hi - re_lo >= im_hi - im_lo:
         mid = 0.5 * (re_lo + re_hi) + 1.2345e-7 * (re_hi - re_lo)
-        return _find_roots_in_rect(fun, dfun, re_lo, mid, im_lo, im_hi, depth + 1) + \
-            _find_roots_in_rect(fun, dfun, mid, re_hi, im_lo, im_hi, depth + 1)
+        return _find_roots_in_rect(fun, dfun, re_lo, mid, im_lo, im_hi, radius, depth + 1) + \
+            _find_roots_in_rect(fun, dfun, mid, re_hi, im_lo, im_hi, radius, depth + 1)
     mid = 0.5 * (im_lo + im_hi) + 1.2345e-7 * (im_hi - im_lo)
-    return _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, mid, depth + 1) + \
-        _find_roots_in_rect(fun, dfun, re_lo, re_hi, mid, im_hi, depth + 1)
-
-
-def _search_rectangle(params: SystemParams):
-    im_max = 4.0 * max(1.0, params.u_t, abs(params.delta))
-    return 10.0, im_max
+    return _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, mid, radius, depth + 1) + \
+        _find_roots_in_rect(fun, dfun, re_lo, re_hi, mid, im_hi, radius, depth + 1)
 
 
 def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
@@ -285,53 +387,87 @@ def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
     return np.roots(poly)
 
 
-def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:
-    """Number of zeros of D in the open right half-plane (search rectangle)."""
-    if params.u_t == 0.0:
-        return int(np.sum(_cold_roots(point, params).real > 0))
-    re_max, im_max = _search_rectangle(params)
+def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
+    """Zeros of D inside the cached half-disc contour.
+
+    Returns (count, shift, s, I, I', D) on the first axis offset whose
+    winding is unambiguous.
+    """
+    physics = replace(params, eta_plus=0j, eta_minus=0j, seed=0)
 
     def fun(s):
-        return complex(dispersion(s, point, params))
+        return dispersion(s, point, params)
 
-    corners = [
-        complex(1e-9, -im_max),
-        complex(re_max, -im_max),
-        complex(re_max, im_max),
-        complex(1e-9, im_max),
-    ]
-    for shift in (0.0, 3e-4, -1.7e-4, 1.1e-3):
+    for shift in _AXIS_SHIFTS:
+        s, i_s, di_s = _contour_table(physics, radius, shift)
+        d = _dispersion_from(s, i_s, point, params.delta)
         try:
-            shifted = [c + 1j * shift * im_max for c in corners]
-            return _winding_number(fun, shifted)
+            return _sampled_winding(fun, s, d), shift, s, i_s, di_s, d
         except RuntimeError:
             continue
     raise RuntimeError("argument-principle count failed repeatedly")
 
 
+def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
+    """Distinct zeros of D in the open right half-plane, warm gas.
+
+    A count of one is located from the first contour moment
+    s1 = (1/2 pi i) oint s D'/D ds and Newton-polished; larger counts and
+    failed polishes fall back to rectangle bisection inside the same disc.
+    The number of distinct roots must equal the winding count.
+    """
+    radius = _search_radius(point, params)
+    count, shift, s, i_s, di_s, d = _contour_count(point, params, radius)
+    if count == 0:
+        return []
+
+    def fun(z):
+        return dispersion(z, point, params)
+
+    def dfun(z):
+        return dispersion_derivative(z, point, params)
+
+    root = None
+    if count == 1:
+        h = s * _dispersion_derivative_from(s, i_s, di_s, point, params.delta) / d
+        s1 = np.sum((h[1:] + h[:-1]) * np.diff(s)) / (4j * np.pi)
+        root = _newton_polish(fun, dfun, s1, radius)
+    if root is not None:
+        return [root]
+    roots = _find_roots_in_rect(
+        fun, dfun, shift * radius, radius, -radius, radius, radius
+    )
+    distinct = []
+    for r in roots:
+        if all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in distinct):
+            distinct.append(r)
+    if len(distinct) != count:
+        raise RuntimeError(
+            f"found {len(distinct)} distinct unstable roots for a winding count of {count}"
+        )
+    return distinct
+
+
+def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:
+    """Number of zeros of D in the open right half-plane."""
+    if params.u_t == 0.0:
+        return int(np.sum(_cold_roots(point, params).real > 0))
+    return _contour_count(point, params, _search_radius(point, params))[0]
+
+
 def max_growth_rate(point: PumpPoint, params: SystemParams) -> complex | None:
     """Dominant unstable root of D, or None if the state is stable.
 
-    Zeros in [0, re_max] x [-im_max, im_max] are located by recursive
-    argument-principle bisection and Newton-polished; the one with the
-    largest real part is returned.
+    Every unstable zero lies in the half-disc |s| < R of _search_radius.
+    They are counted by the argument principle on the half-disc contour,
+    located and Newton-polished; the one with the largest real part is
+    returned.
     """
     if params.u_t == 0.0:
         roots = [complex(r) for r in _cold_roots(point, params) if r.real > 0]
         return max(roots, key=lambda r: r.real) if roots else None
-    re_max, im_max = _search_rectangle(params)
-
-    def fun(s):
-        return complex(dispersion(s, point, params))
-
-    def dfun(s):
-        return complex(dispersion_derivative(s, point, params))
-
-    roots = _find_roots_in_rect(fun, dfun, 1e-9, re_max, -im_max, im_max)
-    roots = [r for r in roots if r.real > 0]
-    if not roots:
-        return None
-    return max(roots, key=lambda r: r.real)
+    roots = _unstable_roots(point, params)
+    return max(roots, key=lambda r: r.real) if roots else None
 
 
 # ---------------------------------------------------------------------------

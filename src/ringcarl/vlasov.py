@@ -327,7 +327,9 @@ def run_vlasov(
 
     ``fields`` holds the initial mode amplitudes (a+, a-, b+, b-); the
     steady state by default.  Snapshots are (tau, PhaseSpaceGrid) pairs
-    taken every ``snapshot_every`` (None: only the final state).  The
+    taken every ``snapshot_every`` (None: only the final state); they hold
+    the step's grids themselves, since ``vlasov_step`` never mutates its
+    input (they share the chi and u node arrays).  The
     kinetic_energy diagnostic is per particle, matching the N-body
     TimeSeries convention.  A step that diverges raises
     IntegrationDivergedError carrying the time that step was to reach.
@@ -345,7 +347,7 @@ def run_vlasov(
     rows = [(0.0, *grid_moments(grid), a)]
     snaps = []
     if snap_stride is not None:
-        snaps.append((0.0, grid.copy()))
+        snaps.append((0.0, grid))
     for i in range(1, n_steps + 1):
         tau = i * dt
         try:
@@ -355,7 +357,7 @@ def run_vlasov(
         if i % stride == 0:
             rows.append((tau, *grid_moments(grid), a))
         if snap_stride is not None and i % snap_stride == 0:
-            snaps.append((tau, grid.copy()))
+            snaps.append((tau, grid))
     if snap_stride is None:
-        snaps.append((n_steps * dt, grid.copy()))
+        snaps.append((n_steps * dt, grid))
     return TimeSeries.from_samples(rows), snaps

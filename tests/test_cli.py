@@ -149,6 +149,36 @@ class TestRunExperiment:
         m2 = cli.run_experiment(cfg, tmp_path)
         assert m2.results["n_computed"] == 0
         assert m2.results["n_resumed"] == 2
+        # a larger grid reuses the finished cells
+        grown = parse_config(text.replace("a_over_s = 0.0\n", "a_over_s = 0.0, 0.5\n"))
+        m3 = cli.run_experiment(grown, tmp_path)
+        assert (m3.results["n_resumed"], m3.results["n_computed"]) == (2, 2)
+
+    @pytest.mark.parametrize("change", [
+        ("t_end = 1.0", "t_end = 0.5"),
+        ("u_t = 3.0", "u_t = 2.0"),
+        ("a_over_s = 0.0\n", "a_over_s = 0.0\ndynamic = true\n"),
+    ])
+    def test_resume_rejects_changed_config(self, tmp_path, change):
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
+        fresh = tmp_path / "fresh"
+        cli.run_experiment(parse_config(text), tmp_path / "run")
+        changed = parse_config(text.replace(*change))
+        m = cli.run_experiment(changed, tmp_path / "run")
+        assert m.results["n_resumed"] == 0 and m.results["n_computed"] == 2
+        cli.run_experiment(changed, fresh)
+        assert (tmp_path / "run/phase_diagram.csv").read_bytes() == (
+            fresh / "phase_diagram.csv"
+        ).read_bytes()
+
+    def test_resume_needs_manifest(self, tmp_path):
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
+        cfg = parse_config(text)
+        cli.run_experiment(cfg, tmp_path)
+        (tmp_path / "manifest.json").unlink()
+        assert cli.run_experiment(cfg, tmp_path).results["n_resumed"] == 0
 
     def test_slow_beam_requires_drift(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = slow-beam")

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ringcarl import stability as st
 from ringcarl.core import DomainError, SystemParams
@@ -81,6 +85,119 @@ class TestRoots:
             st.PumpPoint(1.0, 2.0)
         with pytest.raises(DomainError):
             st.PumpPoint(-1.0, 0.0)
+        with pytest.raises(DomainError):
+            st.PumpPoint(np.inf, 0.0)
+
+
+def _prefactor(p):
+    return p.n_particles * p.u0**2 * p.rho_r / (1 + p.delta**2)
+
+
+class TestRootSearch:
+    """The half-disc contour search: radius bound, cached table, moments."""
+
+    # Strongly pumped cells of the sweep physics whose unstable root lies
+    # beyond the old fixed search box Re s <= 10.
+    @pytest.mark.parametrize(
+        "s_over_sc, a_over_s", [(300, 0.9), (1000, 0.0), (1000, 0.5), (1000, 0.9)]
+    )
+    def test_strong_pump_root_found(self, s_over_sc, a_over_s):
+        p = make_params()
+        s = s_over_sc * st.threshold_sc_a0(p)
+        point = st.PumpPoint(s, a_over_s * s)
+        root = st.max_growth_rate(point, p)
+        assert root is not None and root.real > 0
+        assert abs(st.dispersion(root, point, p)) < 1e-8
+        assert st.classify_regime(point, p).regime != "stable"
+        # an independent count on a rectangle 20x the old search box
+        corners = [1e-9 - 240j, 200.0 - 240j, 200.0 + 240j, 1e-9 + 240j]
+        big = st._winding_number(lambda z: st.dispersion(z, point, p), corners, n0=2000)
+        assert st.count_unstable_roots(point, p) == big >= 1
+
+    def test_sup_constant_is_axis_maximum(self):
+        """_G_SUP is sup |s^2 I(s)| / prefactor on the axis, rounded up."""
+        # on s = i omega, zeta = i s / u_t is real and s^2 K = -2i zeta^2 (1 + zeta Z)
+        x = np.linspace(-60.0, 60.0, 1_200_001)
+        g = -2j * x**2 * (1.0 + x * st._plasma_z(x))
+        assert np.abs(g).max() <= st._G_SUP < np.abs(g).max() + 1e-4
+
+    @pytest.mark.parametrize("u_t", [0.5, 3.0, 30.0])
+    def test_integral_bounded_in_half_plane(self, u_t):
+        p = make_params(u_t=u_t)
+        bound = st._G_SUP * _prefactor(p)
+        axis = 1j * np.linspace(-400.0, 400.0, 80_001)
+        theta = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 2001)
+        arcs = (np.geomspace(1e-2, 1e3, 60)[:, None] * np.exp(1j * theta)).ravel()
+        for s in (axis[axis != 0], arcs):
+            assert np.all(np.abs(st.landau_integral(s, p)) * np.abs(s) ** 2 <= bound)
+
+    def test_radius_bounds_every_unstable_root(self):
+        p = make_params()
+        sc = st.threshold_sc_a0(p)
+        for r, aos in [(0.0, 0.0), (2.0, 0.3), (300, 0.9), (1000, 0.5)]:
+            point = st.PumpPoint(r * sc, aos * r * sc)
+            radius = st._search_radius(point, p)
+            assert radius == 2.0 ** round(np.log2(radius))
+            for root in st._unstable_roots(point, p):
+                assert abs(root) < radius
+
+    def test_two_roots_by_bisection(self):
+        """Counts above one fall back to bisection and yield distinct roots."""
+        p = make_params(delta=1.5)
+        s = 300.0 / _prefactor(p)
+        point = st.PumpPoint(s, 0.25 * s)
+        assert st.count_unstable_roots(point, p) == 2
+        roots = st._unstable_roots(point, p)
+        assert len(roots) == 2 and abs(roots[0] - roots[1]) > 1.0
+        for root in roots:
+            assert root.real > 0
+            assert abs(st.dispersion(root, point, p)) < 1e-8
+        assert st.max_growth_rate(point, p) == max(roots, key=lambda r: r.real)
+
+    def test_near_axis_root_falls_back(self, monkeypatch):
+        """A root just right of the axis, where the moment start is poor."""
+        p = make_params()
+        s = 1.0256410256410255 * st.threshold_sc_a0(p)
+        point = st.PumpPoint(s, 0.4125 * s)
+        calls = []
+        bisect = st._find_roots_in_rect
+        monkeypatch.setattr(
+            st, "_find_roots_in_rect", lambda *a, **k: calls.append(1) or bisect(*a, **k)
+        )
+        root = st.max_growth_rate(point, p)
+        assert calls
+        assert 0 < root.real < 1e-3
+        assert abs(st.dispersion(root, point, p)) < 1e-10
+
+    def test_one_table_per_physics_and_radius(self):
+        p = make_params(u_t=2.5)
+        sc = st.threshold_sc_a0(p)
+        st._contour_table.cache_clear()
+        for seed, r in enumerate(np.linspace(0.5, 3.0, 6)):
+            for aos in (0.0, 0.4, 0.8):
+                s, a = r * sc, aos * r * sc
+                cell = replace(p.with_pump_split(s, a), seed=seed)
+                st.max_growth_rate(st.PumpPoint(s, a), cell)
+        info = st._contour_table.cache_info()
+        assert info.currsize == info.misses <= 3
+
+    @given(
+        u_t=hst.floats(1e-3, 2e-2),
+        delta=hst.floats(0.2, 2.5),
+        sign=hst.sampled_from([-1.0, 1.0]),
+        load=hst.floats(-2.0, 1.5),
+        a_over_s=hst.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_temperature_count_matches_cold_quartic(
+        self, u_t, delta, sign, load, a_over_s
+    ):
+        p = make_params(u_t=u_t, delta=sign * delta)
+        s = 10.0**load / _prefactor(p)
+        point = st.PumpPoint(s, a_over_s * s)
+        cold = st._cold_roots(point, make_params(u_t=0.0, delta=sign * delta))
+        assume(np.all(np.abs(cold.real) >= 0.1))
+        assert st.count_unstable_roots(point, p) == np.sum(cold.real > 0)
 
 
 class TestBoundary:

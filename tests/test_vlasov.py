@@ -229,6 +229,18 @@ class TestRun:
         assert [t for t, _ in snaps] == [0.0, 0.25, 0.5]
         assert snaps[-1][1].mass() == pytest.approx(1.0, abs=1e-8)
 
+    def test_initial_snapshot_survives_run(self):
+        """Snapshots hold the step's grids uncopied; the tau = 0 one stays put."""
+        p = make_params(s=8.0, a=2.0)
+        g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.1)
+        f0 = g.f.copy()
+        _, snaps = vl.run_vlasov(p, grid=g, t_end=0.5, dt=2.5e-2, snapshot_every=0.25)
+        tau0, first = snaps[0]
+        assert tau0 == 0.0 and first is not g
+        assert np.array_equal(first.f, f0) and first.lost_mass == 0.0
+        assert np.array_equal(g.f, f0)
+        assert not np.array_equal(snaps[1][1].f, f0)
+
     def test_momentum_invariant_closed_system(self):
         p = make_params(s=8.0, a=2.0)
         g = vl.make_grid(p, nx=64, nv=128, cosine_eps=1e-2)
