@@ -275,6 +275,7 @@ def _mode_phase_diagram(
     manifest.results["n_cells"] = len(cells)
     manifest.results["n_computed"] = len(rows)
     manifest.results["n_resumed"] = len(cells) - len(todo)
+    manifest.results["n_errors"] = sum(row[2].startswith("error:") for row in rows)
 
 
 # ---------------------------------------------------------------------------

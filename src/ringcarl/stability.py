@@ -29,11 +29,15 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
   pump-free physics and R, so they are computed once and reused by every
   cell; D is affine in (S, A) and costs array arithmetic per cell.
 * Count and location.  The winding of D on the samples (refined where a
-  phase step reaches pi/2) counts the unstable zeros.  A single zero is
-  started from the contour moment (1/2 pi i) oint s D'/D ds and
-  Newton-polished; more zeros, or a failed polish, fall back to rectangle
-  bisection inside the same disc, and the distinct roots found must match
-  the count.  The cold gas (u_t = 0) is solved as a quartic instead.
+  phase step reaches pi/2) counts the unstable zeros; a sample at the
+  rounding level of D moves the axis slightly right.  The contour moments
+  (1/2 pi i) oint s^k D'/D ds locate every zero inside at once
+  (Delves-Lyness): Newton's identities turn them into a polynomial whose
+  roots start a Newton polish each, and the distinct roots must match the
+  count.  The moments are summed by the trapezoid rule on the samples,
+  and again from the increments of log D along the refined contour when a
+  zero of D close to the contour spoils that rule.  There is no bisection.
+  The cold gas (u_t = 0) is solved as a quartic instead.
 """
 
 from __future__ import annotations
@@ -152,16 +156,18 @@ def landau_integral_quadrature(
     def fprime(u):
         return -2.0 * u * np.exp(-((u / ut) ** 2)) / (np.sqrt(np.pi) * ut**3)
 
+    # F' is odd, so u and -u fold into F'(u) (-2 i u) / (s^2 + u^2) on u >= 0;
+    # for real s one part of that is identically 0 rather than 0 by symmetry.
     def integrand(u, part):
-        val = fprime(u) / (s + 1j * u)
+        val = fprime(u) * (-2j * u) / (s * s + u * u)
         return val.real if part == "re" else val.imag
 
     lim = 12.0 * ut + 4.0 * abs(s)
     re, _ = integrate.quad(
-        integrand, -lim, lim, args=("re",), epsabs=0, epsrel=rel_tol, limit=400
+        integrand, 0.0, lim, args=("re",), epsabs=0, epsrel=rel_tol, limit=400
     )
     im, _ = integrate.quad(
-        integrand, -lim, lim, args=("im",), epsabs=0, epsrel=rel_tol, limit=400
+        integrand, 0.0, lim, args=("im",), epsabs=0, epsrel=rel_tol, limit=400
     )
     return _landau_prefactor(params) * complex(re, im)
 
@@ -209,6 +215,7 @@ _G_SUP = 1.8227
 _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
+_ZERO_LEVEL = 1e-12  # a sample with |D| <= this * max |D| is a zero on the contour
 
 
 def _search_radius(point: PumpPoint, params: SystemParams) -> float:
@@ -250,64 +257,52 @@ def _contour_table(physics: SystemParams, radius: float, shift: float):
     return table
 
 
-def _winding_number(fun, corners, n0: int = 64, max_depth: int = 24) -> int:
-    """Winding of fun along the closed rectangle through `corners`.
-
-    ``fun`` takes an array of points.  Raises RuntimeError if refinement
-    bottoms out (contour passing too close to a zero).
-    """
-    ts = np.linspace(0.0, 1.0, n0, endpoint=False)
-    pts = np.concatenate(
-        [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
-        + [corners[:1]]
-    )
-    return _sampled_winding(fun, pts, fun(pts), max_depth)
-
-
-def _sampled_winding(fun, pts, vals, max_depth: int = 24) -> int:
-    """Winding of fun along the closed polygon `pts` (pts[-1] == pts[0]).
+def _refined_contour(fun, pts, vals, max_depth: int = 24):
+    """The closed polygon `pts` (pts[-1] == pts[0]), refined for fun.
 
     ``vals`` holds fun at `pts`.  Segments whose phase increment reaches
-    pi/2 are refined recursively until every increment is below pi/2, which
-    guarantees an unambiguous branch.  Raises RuntimeError if refinement
-    bottoms out.
+    pi/2 are bisected, up to max_depth times, until every increment is
+    below pi/2, which puts each on the continuous branch.  Returns the
+    refined points, fun there and the phase increments between them.
+    Raises RuntimeError if a sample is zero to within the rounding of fun,
+    or if refinement bottoms out.
     """
-    if not np.all(vals):
+    mag = np.abs(vals)
+    if np.any(mag <= _ZERO_LEVEL * mag.max()):
         raise RuntimeError("contour hit a zero of D")
-    dphi = np.angle(vals[1:] / vals[:-1])
-    for k in np.flatnonzero(np.abs(dphi) >= np.pi / 2):
-        dphi[k] = _phase_step(fun, pts[k], pts[k + 1], vals[k], vals[k + 1], max_depth)
-    return int(round(dphi.sum() / (2.0 * np.pi)))
-
-
-def _phase_step(fun, p0, p1, v0, v1, depth):
-    if v0 == 0 or v1 == 0:
-        raise RuntimeError("contour hit a zero of D")
-    dphi = np.angle(v1 / v0)
-    if abs(dphi) < np.pi / 2:
-        return dphi
-    if depth <= 0:
-        raise RuntimeError("contour too close to a zero of D")
-    pm = 0.5 * (p0 + p1)
-    vm = fun(pm)
-    return _phase_step(fun, p0, pm, v0, vm, depth - 1) + _phase_step(
-        fun, pm, p1, vm, v1, depth - 1
-    )
+    for depth in range(max_depth + 1):
+        dphi = np.angle(vals[1:] / vals[:-1])
+        bad = np.flatnonzero(np.abs(dphi) >= np.pi / 2)
+        if bad.size == 0:
+            return pts, vals, dphi
+        if depth == max_depth:
+            break
+        mid = 0.5 * (pts[bad] + pts[bad + 1])
+        f_mid = fun(mid)
+        if not np.all(f_mid):
+            raise RuntimeError("contour hit a zero of D")
+        pts = np.insert(pts, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, f_mid)
+    raise RuntimeError("contour too close to a zero of D")
 
 
 def _newton_polish(fun, dfun, s0, radius, tol=1e-12, max_iter=60):
-    """Newton root from s0, or None if it fails.
+    """Newton root in the open half-disc Re s > 0, |s| < radius, or None.
 
-    It fails when an iterate leaves the half-disc Re s >= 0, |s| < radius,
-    where every unstable zero lies and I(s) is defined, or when it does
-    not converge within max_iter steps.  It has converged when a step is
-    below tol, or below sqrt(tol) and no shorter than the one before (the
-    steps then follow the rounding noise of D, e.g. for u_t << |s|).
+    An iterate that lands at Re s < 0 is moved onto the imaginary axis,
+    where I(s) is still defined.  The polish fails when an iterate leaves
+    the disc, where no unstable zero lies, when it does not converge within
+    max_iter steps, or when it converges outside the open half-disc.  It
+    has converged when a step is below tol, or below sqrt(tol) and no
+    shorter than the one before (the steps then follow the rounding noise
+    of D, e.g. for u_t << |s|).
     """
     s = complex(s0)
     prev = np.inf
     for _ in range(max_iter):
-        if not (s.real >= 0.0 and abs(s) < radius):
+        if s.real < 0.0:
+            s = complex(0.0, s.imag)
+        if abs(s) >= radius:
             return None
         df = complex(dfun(s))
         if df == 0:
@@ -316,58 +311,9 @@ def _newton_polish(fun, dfun, s0, radius, tol=1e-12, max_iter=60):
         s -= step
         scale = max(1.0, abs(s))
         if abs(step) < tol * scale or prev <= abs(step) < np.sqrt(tol) * scale:
-            return s if s.real >= 0.0 and abs(s) < radius else None
+            return s if s.real > 0.0 and abs(s) < radius else None
         prev = abs(step)
     return None
-
-
-def _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, im_hi, radius, depth=0):
-    """Recursive rectangle subdivision by the argument principle.
-
-    A count-1 rectangle is Newton-polished from its centre; if that fails
-    or lands outside the rectangle, it is subdivided like a larger count.
-    """
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-    ]
-    for shrink in range(6):
-        try:
-            count = _winding_number(fun, corners)
-            break
-        except RuntimeError:
-            # a zero (near-)on the contour: nudge the rectangle outward
-            pad = 1e-3 * (1 + shrink) * max(re_hi - re_lo, im_hi - im_lo)
-            re_hi += pad
-            im_lo -= pad
-            im_hi += pad
-            corners = [
-                complex(re_lo, im_lo),
-                complex(re_hi, im_lo),
-                complex(re_hi, im_hi),
-                complex(re_lo, im_hi),
-            ]
-    else:
-        raise RuntimeError("could not separate contour from zeros of D")
-    if count == 0:
-        return []
-    centre = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-    small = max(re_hi - re_lo, im_hi - im_lo) < 1e-6
-    if count == 1 or small or depth > 40:
-        root = _newton_polish(fun, dfun, centre, radius)
-        if small or depth > 40:
-            return [centre if root is None else root]
-        if root is not None and re_lo <= root.real <= re_hi and im_lo <= root.imag <= im_hi:
-            return [root]
-    if re_hi - re_lo >= im_hi - im_lo:
-        mid = 0.5 * (re_lo + re_hi) + 1.2345e-7 * (re_hi - re_lo)
-        return _find_roots_in_rect(fun, dfun, re_lo, mid, im_lo, im_hi, radius, depth + 1) + \
-            _find_roots_in_rect(fun, dfun, mid, re_hi, im_lo, im_hi, radius, depth + 1)
-    mid = 0.5 * (im_lo + im_hi) + 1.2345e-7 * (im_hi - im_lo)
-    return _find_roots_in_rect(fun, dfun, re_lo, re_hi, im_lo, mid, radius, depth + 1) + \
-        _find_roots_in_rect(fun, dfun, re_lo, re_hi, mid, im_hi, radius, depth + 1)
 
 
 def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
@@ -390,8 +336,9 @@ def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
 def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     """Zeros of D inside the cached half-disc contour.
 
-    Returns (count, shift, s, I, I', D) on the first axis offset whose
-    winding is unambiguous.
+    Returns (count, (s, I, I'), D, polygon, D on polygon) on the first axis
+    offset whose winding is unambiguous, where the polygon is the contour
+    refined by the count.
     """
     physics = replace(params, eta_plus=0j, eta_minus=0j, seed=0)
 
@@ -399,25 +346,31 @@ def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
         return dispersion(s, point, params)
 
     for shift in _AXIS_SHIFTS:
-        s, i_s, di_s = _contour_table(physics, radius, shift)
-        d = _dispersion_from(s, i_s, point, params.delta)
+        table = _contour_table(physics, radius, shift)
+        d = _dispersion_from(table[0], table[1], point, params.delta)
         try:
-            return _sampled_winding(fun, s, d), shift, s, i_s, di_s, d
+            poly, d_poly, dphi = _refined_contour(fun, table[0], d)
         except RuntimeError:
             continue
+        return int(round(dphi.sum() / (2.0 * np.pi))), table, d, poly, d_poly
     raise RuntimeError("argument-principle count failed repeatedly")
 
 
 def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
     """Distinct zeros of D in the open right half-plane, warm gas.
 
-    A count of one is located from the first contour moment
-    s1 = (1/2 pi i) oint s D'/D ds and Newton-polished; larger counts and
-    failed polishes fall back to rectangle bisection inside the same disc.
-    The number of distinct roots must equal the winding count.
+    The power sums p_k = (1/2 pi i) oint s^k D'/D ds, k = 1..count, are the
+    sums of the k-th powers of the zeros inside the contour (Delves-Lyness).
+    Newton's identities turn them into the monic polynomial whose roots are
+    those zeros; each root starts a Newton polish, and the number of
+    distinct polished roots must equal the winding count.  The sums are
+    taken by the trapezoid rule on the cached samples.  A zero of D within
+    a sample spacing of the contour spoils that rule; if the count is then
+    missed, they are summed again as (1/2 pi i) oint s^k d(log D) along the
+    refined polygon of the count, which resolves such a zero.
     """
     radius = _search_radius(point, params)
-    count, shift, s, i_s, di_s, d = _contour_count(point, params, radius)
+    count, (s, i_s, di_s), d, poly, d_poly = _contour_count(point, params, radius)
     if count == 0:
         return []
 
@@ -427,25 +380,40 @@ def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
     def dfun(z):
         return dispersion_derivative(z, point, params)
 
-    root = None
-    if count == 1:
-        h = s * _dispersion_derivative_from(s, i_s, di_s, point, params.delta) / d
-        s1 = np.sum((h[1:] + h[:-1]) * np.diff(s)) / (4j * np.pi)
-        root = _newton_polish(fun, dfun, s1, radius)
-    if root is not None:
-        return [root]
-    roots = _find_roots_in_rect(
-        fun, dfun, shift * radius, radius, -radius, radius, radius
-    )
-    distinct = []
-    for r in roots:
-        if all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in distinct):
-            distinct.append(r)
-    if len(distinct) != count:
+    def polished(sums):
+        if count == 1:
+            starts = sums  # np.roots would turn a zero imaginary part into -0.0
+        else:
+            coeffs = [1.0]
+            for k in range(1, count + 1):
+                coeffs.append(-sum(c * p for c, p in zip(coeffs, sums[k - 1::-1])) / k)
+            starts = np.roots(coeffs)
+        distinct = []
+        for start in starts:
+            r = _newton_polish(fun, dfun, start, radius)
+            if r is not None and all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in distinct):
+                distinct.append(r)
+        return distinct
+
+    g = _dispersion_derivative_from(s, i_s, di_s, point, params.delta)
+    sums = []
+    for _ in range(count):
+        g = s * g
+        h = g / d
+        sums.append(np.sum((h[1:] + h[:-1]) * np.diff(s)) / (4j * np.pi))
+    roots = polished(sums)
+    if len(roots) != count:
+        dlog = np.log(d_poly[1:] / d_poly[:-1])
+        sums, w = [], poly
+        for _ in range(count):
+            sums.append(np.sum((w[1:] + w[:-1]) * dlog) / (4j * np.pi))
+            w = poly * w
+        roots = polished(sums)
+    if len(roots) != count:
         raise RuntimeError(
-            f"found {len(distinct)} distinct unstable roots for a winding count of {count}"
+            f"found {len(roots)} distinct unstable roots for a winding count of {count}"
         )
-    return distinct
+    return roots
 
 
 def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:

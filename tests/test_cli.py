@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcarl import cli
+from ringcarl import cli, stability
 from ringcarl.config import ConfigError, RunManifest, parse_config, sha256_file
 
 MINIMAL = """
@@ -74,8 +74,6 @@ class TestParseConfig:
         assert cfg.options["sweep"]["a_over_s"] == [0.0, 0.3]
 
     def test_s_over_sc_resolution(self):
-        from ringcarl import stability
-
         text = MINIMAL.replace("s_total = 8.0", "s_over_sc = 2.0")
         cfg = parse_config(text)
         sc = stability.threshold_sc_a0(cfg.params)
@@ -179,6 +177,22 @@ class TestRunExperiment:
         cli.run_experiment(cfg, tmp_path)
         (tmp_path / "manifest.json").unlink()
         assert cli.run_experiment(cfg, tmp_path).results["n_resumed"] == 0
+
+    def test_errored_cells_counted(self, tmp_path, monkeypatch):
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
+        classify = stability.classify_regime
+
+        def fail_above_threshold(point, params):
+            if point.s_total > stability.threshold_sc_a0(params):
+                raise RuntimeError("root count mismatch")
+            return classify(point, params)
+
+        monkeypatch.setattr(stability, "classify_regime", fail_above_threshold)
+        m = cli.run_experiment(parse_config(text), tmp_path)
+        rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["stable", "error:RuntimeError"]
+        assert m.results["n_errors"] == 1
 
     def test_slow_beam_requires_drift(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = slow-beam")

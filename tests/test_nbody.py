@@ -70,7 +70,7 @@ class TestIntegrator:
         p = make_params()
         a, chi, u = random_state(p)
         u[0] = np.inf
-        with pytest.raises(IntegrationDivergedError):
+        with pytest.raises(IntegrationDivergedError), np.errstate(invalid="ignore"):
             nbody.step(a, chi, u, p, 1e-3)
 
 

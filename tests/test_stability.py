@@ -15,6 +15,21 @@ def make_params(u_t=3.0, delta=-1.0, n=10000):
     )
 
 
+def _winding_number(fun, corners, n0=64):
+    """Winding of fun along the closed rectangle through `corners` (oracle).
+
+    ``fun`` takes an array of points.  Raises RuntimeError if the contour
+    passes through or too close to a zero.
+    """
+    ts = np.linspace(0.0, 1.0, n0, endpoint=False)
+    pts = np.concatenate(
+        [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
+        + [corners[:1]]
+    )
+    _, _, dphi = st._refined_contour(fun, pts, fun(pts))
+    return int(round(dphi.sum() / (2.0 * np.pi)))
+
+
 class TestLandauIntegral:
     def test_cold_limit(self):
         p = make_params(u_t=0.0)
@@ -31,6 +46,7 @@ class TestLandauIntegral:
             pref * 1j / s**2, rel=1e-2
         )
 
+    @pytest.mark.filterwarnings("error")
     def test_quadrature_oracle(self):
         p = make_params()
         for s in (0.5, 1.0 + 2.0j, 0.05 + 0.3j, 3.0 - 4.0j):
@@ -111,7 +127,7 @@ class TestRootSearch:
         assert st.classify_regime(point, p).regime != "stable"
         # an independent count on a rectangle 20x the old search box
         corners = [1e-9 - 240j, 200.0 - 240j, 200.0 + 240j, 1e-9 + 240j]
-        big = st._winding_number(lambda z: st.dispersion(z, point, p), corners, n0=2000)
+        big = _winding_number(lambda z: st.dispersion(z, point, p), corners, n0=2000)
         assert st.count_unstable_roots(point, p) == big >= 1
 
     def test_sup_constant_is_axis_maximum(self):
@@ -141,8 +157,8 @@ class TestRootSearch:
             for root in st._unstable_roots(point, p):
                 assert abs(root) < radius
 
-    def test_two_roots_by_bisection(self):
-        """Counts above one fall back to bisection and yield distinct roots."""
+    def test_two_roots_from_moments(self):
+        """A count of two is located from p_1 and p_2 and gives distinct roots."""
         p = make_params(delta=1.5)
         s = 300.0 / _prefactor(p)
         point = st.PumpPoint(s, 0.25 * s)
@@ -154,20 +170,62 @@ class TestRootSearch:
             assert abs(st.dispersion(root, point, p)) < 1e-8
         assert st.max_growth_rate(point, p) == max(roots, key=lambda r: r.real)
 
-    def test_near_axis_root_falls_back(self, monkeypatch):
-        """A root just right of the axis, where the moment start is poor."""
+    def test_near_axis_root_polished(self):
+        """A root just right of the axis, where Newton steps cross the axis."""
         p = make_params()
         s = 1.0256410256410255 * st.threshold_sc_a0(p)
         point = st.PumpPoint(s, 0.4125 * s)
-        calls = []
-        bisect = st._find_roots_in_rect
-        monkeypatch.setattr(
-            st, "_find_roots_in_rect", lambda *a, **k: calls.append(1) or bisect(*a, **k)
-        )
         root = st.max_growth_rate(point, p)
-        assert calls
         assert 0 < root.real < 1e-3
         assert abs(st.dispersion(root, point, p)) < 1e-10
+
+    @pytest.mark.parametrize("u_t", [2.5, 3.0])
+    def test_marginal_zero_on_contour_moves_axis(self, u_t):
+        """At S = S_c, A = 0, D(0) = 0 up to rounding: a zero on the contour."""
+        p = make_params(u_t=u_t)
+        point = st.PumpPoint(st.threshold_sc_a0(p), 0.0)
+        assert st.count_unstable_roots(point, p) == 0
+        assert st.max_growth_rate(point, p) is None
+        assert st.classify_regime(point, p).regime == "stable"
+
+    @pytest.mark.parametrize(
+        "delta, s_over_sc, a_over_s, expect",
+        [
+            (2.0, 100.0, 0.0, [0.0010008 - 0.0717854j, 0.0010008 + 0.0717854j]),
+            (1.5, 20.0, 0.2, [0.0021850 - 0.0342625j]),
+        ],
+    )
+    def test_cold_cells_located(self, delta, s_over_sc, a_over_s, expect):
+        """Nearly cold cells with roots close to the axis."""
+        p = make_params(u_t=0.01, delta=delta)
+        s = s_over_sc * st.threshold_sc_a0(p)
+        point = st.PumpPoint(s, a_over_s * s)
+        roots = sorted(st._unstable_roots(point, p), key=lambda r: r.imag)
+        assert len(roots) == st.count_unstable_roots(point, p) == len(expect)
+        for root, want in zip(roots, expect):
+            assert abs(st.dispersion(root, point, p)) < 1e-10
+            assert abs(root - want) < 1e-7
+
+    @pytest.mark.parametrize(
+        "u_t, delta, s_over_sc, a_over_s",
+        [(2.98, 4.02, 110.8, 0.704), (8.74, 4.48, 738.0, -0.297)],
+    )
+    def test_zero_near_contour_resummed_from_log(self, u_t, delta, s_over_sc, a_over_s):
+        """A zero of D within a sample spacing of the axis spoils the
+        trapezoid moments; the log-increment sums still locate every root."""
+        p = make_params(u_t=u_t, delta=delta)
+        s = s_over_sc * st.threshold_sc_a0(p)
+        point = st.PumpPoint(s, a_over_s * s)
+        roots = st._unstable_roots(point, p)
+        assert len(roots) == st.count_unstable_roots(point, p) >= 1
+        for root in roots:
+            assert root.real > 0
+            assert abs(st.dispersion(root, point, p)) < 1e-10
+        # each root is also the only zero inside a small rectangle around it
+        for root in roots:
+            h = min(1e-3 * abs(root), 0.5 * root.real)
+            corners = [root - h - 1j * h, root + h - 1j * h, root + h + 1j * h, root - h + 1j * h]
+            assert _winding_number(lambda z: st.dispersion(z, point, p), corners) == 1
 
     def test_one_table_per_physics_and_radius(self):
         p = make_params(u_t=2.5)
