@@ -3,7 +3,8 @@
 Subpackages by concern:
 
 * :mod:`ringcarl.core`      -- parameters, units and the mean-field model both
-  solvers share: mode equations, coupling, force, sampled time series
+  solvers share: mode equations and their exact flow at fixed bunching,
+  coupling, force, sampled time series
 * :mod:`ringcarl.nbody`     -- coupled mode-particle ODE integration and diagnostics
 * :mod:`ringcarl.vlasov`    -- semi-Lagrangian kinetic solver on a phase-space grid
 * :mod:`ringcarl.stability` -- dispersion relation, growth rates, stability boundary
@@ -21,6 +22,7 @@ from .core import (
     coupling,
     field_momentum,
     force,
+    mode_flow,
     mode_rhs,
     sample_maxwellian,
     steady_state_fields,
@@ -33,6 +35,7 @@ __all__ = [
     "TimeSeries",
     "IntegrationDivergedError",
     "mode_rhs",
+    "mode_flow",
     "coupling",
     "force",
     "field_momentum",

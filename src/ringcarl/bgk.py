@@ -138,6 +138,8 @@ class WaveValidationReport:
     aos_predicted: float
     residual: float
     settled: bool            # the grating drifts at a steady rate
+    v_ph_predicted: float    # admissible root of the relation nearest v_ph_phase (nan: none)
+    direction_ok: bool       # False: the rule says with the stronger pump, the wave runs against
 
 
 def validate_wave(
@@ -151,9 +153,13 @@ def validate_wave(
     The wave's phase velocity is the grating drift, via
     theta(tau) ~ e^{-i u_ph tau} (u_ph = -d arg(theta)/dtau); the mean
     particle velocity is reported alongside but lags the wave whenever part
-    of the gas is untrapped, so it is not used in the relation.  A
-    non-stationary trailing window (v_cm slope above slope_tol) is rejected
-    as invalid input.
+    of the gas is untrapped, so it is not used in the relation.  The
+    relation is also inverted for the phase velocity it predicts at the
+    measured Theta (:func:`phase_velocity_solutions`), and the drift
+    direction is checked against the stronger-pump rule where
+    :func:`wave_direction` asserts it; A = 0 or a standing grating cannot
+    contradict it.  A non-stationary trailing window (v_cm slope above
+    slope_tol) is rejected as invalid input.
     """
     if len(series) < 8:
         raise DomainError("series too short to validate")
@@ -176,6 +182,10 @@ def validate_wave(
     wave = WaveState(v_ph=v_ph_phase, theta_mag=theta_mag, Theta=Theta)
     predicted = asymmetry_for_wave(wave, params)
     actual = params.a_asym / params.s_total if params.s_total > 0 else 0.0
+    roots = [r.v_ph for r in phase_velocity_solutions(actual, Theta, params) if not r.suspicious]
+    v_ph_predicted = min(roots, key=lambda v: abs(v - v_ph_phase), default=float("nan"))
+    with_pump = np.sign(v_ph_phase) * np.sign(actual) >= 0
+    rule = wave_direction(params, Theta).direction
     return WaveValidationReport(
         v_ph_vcm=v_ph_vcm,
         v_ph_phase=v_ph_phase,
@@ -184,4 +194,6 @@ def validate_wave(
         aos_predicted=predicted,
         residual=abs(actual - predicted),
         settled=bool(settled),
+        v_ph_predicted=float(v_ph_predicted),
+        direction_ok=bool(with_pump or rule != "with-stronger-pump"),
     )

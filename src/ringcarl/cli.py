@@ -15,6 +15,8 @@ import concurrent.futures
 import csv
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -77,11 +79,44 @@ def write_snapshot(path, grid: vlasov.PhaseSpaceGrid) -> None:
 
 
 # ---------------------------------------------------------------------------
+# stage timings
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _stage(manifest: RunManifest, name: str):
+    """Add the wall time of the block to ``manifest.timings[name + '_s']``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        key = f"{name}_s"
+        manifest.timings[key] = manifest.timings.get(key, 0.0) + time.perf_counter() - t0
+
+
+def _integrate(cfg: RunConfig, manifest: RunManifest, solver, *args, **kwargs):
+    """Call a time-stepping solver as the integrate stage; records its steps."""
+    with _stage(manifest, "integrate"):
+        out = solver(*args, **kwargs)
+    steps = int(round(cfg.t_end / cfg.dt))
+    manifest.timings["steps"] = steps
+    manifest.timings["us_per_step"] = 1e6 * manifest.timings["integrate_s"] / steps
+    return out
+
+
+def _write_series(series: TimeSeries, outdir: Path, manifest: RunManifest) -> None:
+    with _stage(manifest, "write"):
+        path = outdir / "timeseries.csv"
+        write_timeseries(path, series)
+        manifest.add_file(path)
+
+
+# ---------------------------------------------------------------------------
 # mode implementations
 # ---------------------------------------------------------------------------
 
 
-def _nbody_series(cfg: RunConfig) -> TimeSeries:
+def _nbody_series(cfg: RunConfig, manifest: RunManifest) -> TimeSeries:
     o = cfg.options["nbody"]
     init = nbody.InitialCondition(
         mean_u=o["mean_u"],
@@ -90,17 +125,15 @@ def _nbody_series(cfg: RunConfig) -> TimeSeries:
         quiet_velocities=o["quiet_velocities"],
         random_positions=o["random_positions"],
     )
-    return nbody.run(
-        cfg.params, init=init, t_end=cfg.t_end,
+    return _integrate(
+        cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
         sample_every=cfg.sample_every, dt=cfg.dt,
     )
 
 
 def _mode_nbody(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    series = _nbody_series(cfg)
-    path = outdir / "timeseries.csv"
-    write_timeseries(path, series)
-    manifest.add_file(path)
+    series = _nbody_series(cfg, manifest)
+    _write_series(series, outdir, manifest)
     manifest.results["classification"] = (
         nbody.classify_run(series, cfg.params) if len(series) >= 8 else "unclassified"
     )
@@ -123,13 +156,11 @@ def _mode_slow_beam(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None
     v0 = cfg.options["nbody"]["mean_u"]
     if v0 == 0.0:
         raise ConfigError(["slow-beam mode needs nbody.mean_u != 0"])
-    series = nbody.slow_beam_preset(
-        cfg.params, v_initial=v0, t_end=cfg.t_end,
-        sample_every=cfg.sample_every, dt=cfg.dt,
+    series = _integrate(
+        cfg, manifest, nbody.slow_beam_preset, cfg.params, v_initial=v0,
+        t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
     )
-    path = outdir / "timeseries.csv"
-    write_timeseries(path, series)
-    manifest.add_file(path)
+    _write_series(series, outdir, manifest)
     w = series.trailing_window()
     v_final = float(np.mean(series.v_cm[w]))
     manifest.results["v_initial"] = float(v0)
@@ -138,10 +169,8 @@ def _mode_slow_beam(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None
 
 
 def _mode_validate_wave(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    series = _nbody_series(cfg)
-    path = outdir / "timeseries.csv"
-    write_timeseries(path, series)
-    manifest.add_file(path)
+    series = _nbody_series(cfg, manifest)
+    _write_series(series, outdir, manifest)
     report = bgk.validate_wave(series, cfg.params)
     manifest.results["wave_report"] = {
         k: float(v) if isinstance(v, (int, float, np.floating)) else v
@@ -151,18 +180,18 @@ def _mode_validate_wave(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> 
 
 def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
     o = cfg.options["vlasov"]
-    series, snaps = vlasov.run_vlasov(
+    series, snaps = _integrate(
+        cfg, manifest, vlasov.run_vlasov,
         cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
         cosine_eps=o["cosine_eps"], mean_u=o["mean_u"],
         nx=o["nx"], nv=o["nv"], snapshot_every=o["snapshot_every"],
     )
-    path = outdir / "timeseries.csv"
-    write_timeseries(path, series)
-    manifest.add_file(path)
-    for tau, grid in snaps:
-        spath = outdir / f"snapshot_tau{tau:g}.txt"
-        write_snapshot(spath, grid)
-        manifest.add_file(spath)
+    _write_series(series, outdir, manifest)
+    with _stage(manifest, "write"):
+        for tau, grid in snaps:
+            spath = outdir / f"snapshot_tau{tau:g}.txt"
+            write_snapshot(spath, grid)
+            manifest.add_file(spath)
     manifest.results["lost_mass"] = float(snaps[-1][1].lost_mass)
     manifest.results["classification"] = (
         nbody.classify_run(series, cfg.params) if len(series) >= 8 else "unclassified"
@@ -177,8 +206,9 @@ def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
         grid = stability.default_omega_grid(p, n=2 * o["n_omega"])
         curve = stability.boundary_curve(p, grid)
         path = outdir / f"boundary_ut{u_t:g}.csv"
-        write_boundary(path, curve)
-        manifest.add_file(path)
+        with _stage(manifest, "write"):
+            write_boundary(path, curve)
+            manifest.add_file(path)
         manifest.results.setdefault("thresholds_a0", {})[f"u_t={u_t:g}"] = (
             stability.threshold_sc_a0(p)
         )
@@ -259,19 +289,21 @@ def _mode_phase_diagram(
         if (_fmt(s), _fmt(a)) not in done
     ]
     rows = []
-    if todo:
-        if threads > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_sweep_cell, todo))
-        else:
-            rows = [_sweep_cell(t) for t in todo]
+    with _stage(manifest, "sweep"):
+        if todo:
+            if threads > 1:
+                with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+                    rows = list(pool.map(_sweep_cell, todo))
+            else:
+                rows = [_sweep_cell(t) for t in todo]
     fresh = not path.exists() or not done
-    with open(path, "w" if fresh else "a", newline="") as fh:
-        w = csv.writer(fh)
-        if fresh:
-            w.writerow(PHASE_HEADER)
-        w.writerows(rows)
-    manifest.add_file(path)
+    with _stage(manifest, "write"):
+        with open(path, "w" if fresh else "a", newline="") as fh:
+            w = csv.writer(fh)
+            if fresh:
+                w.writerow(PHASE_HEADER)
+            w.writerows(rows)
+        manifest.add_file(path)
     manifest.results["n_cells"] = len(cells)
     manifest.results["n_computed"] = len(rows)
     manifest.results["n_resumed"] = len(cells) - len(todo)
@@ -350,19 +382,22 @@ def run_experiment(
     cfg: RunConfig, outdir, threads: int = 1, svg: bool = False
 ) -> RunManifest:
     """Execute the configured mode, writing artifacts + manifest to outdir."""
+    t0 = time.perf_counter()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         config=cfg.snapshot, version=__version__, mode=cfg.mode,
         started=RunManifest.now(), derived=cfg.derived(),
     )
+    manifest.timings["setup_s"] = time.perf_counter() - t0
     try:
         if cfg.mode == "phase-diagram":
             _mode_phase_diagram(cfg, outdir, manifest, threads=threads)
         else:
             _MODE_IMPL[cfg.mode](cfg, outdir, manifest)
         if svg:
-            _write_svg(cfg, outdir, manifest)
+            with _stage(manifest, "plot"):
+                _write_svg(cfg, outdir, manifest)
     finally:
         manifest.finished = RunManifest.now()
         (outdir / "manifest.json").write_text(manifest.to_json())

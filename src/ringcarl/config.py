@@ -297,6 +297,9 @@ class RunManifest:
     results: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)  # name -> sha256
     error: str | None = None
+    # wall seconds per stage (time.perf_counter), plus steps and mean us per
+    # step for the N-body and Vlasov modes; never part of a CSV
+    timings: dict = field(default_factory=dict)
 
     @staticmethod
     def now() -> str:

@@ -21,6 +21,8 @@ are the only places where mass and wavenumber enter.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "SystemParams",
     "TimeSeries",
     "mode_rhs",
+    "mode_flow",
     "coupling",
     "force",
     "field_momentum",
@@ -151,13 +154,64 @@ def mode_rhs(a: np.ndarray, theta: complex, params: SystemParams, hamiltonian: b
     return da
 
 
+# 4-node Gauss-Legendre rule on [0, 1], from the closed-form nodes
+# +-sqrt(3/7 -+ 2/7 sqrt(6/5)) and weights (18 +- sqrt(30)) / 36 on [-1, 1]
+# (numpy's leggauss would start the linear-algebra library, about 1 MB)
+_GL_RULE = [
+    (0.5 * (1.0 + sign * math.sqrt(3 / 7 + pm * 2 / 7 * math.sqrt(6 / 5))),
+     (18 - pm * math.sqrt(30)) / 72)
+    for pm in (-1.0, 1.0) for sign in (-1.0, 1.0)
+]
+
+
+def mode_flow(a: np.ndarray, theta: complex, params: SystemParams, h: float,
+              hamiltonian: bool = False):
+    """Exact flow of :func:`mode_rhs` over a time h at fixed theta, and its kick.
+
+    Returns (a(h), J) with J = integral_0^h C dtau along the flow, so that
+    ``force(sin_chi, cos_chi, J, params)`` is the velocity kick of particles
+    held at chi meanwhile.  Each mode pair (a+, a-), (b+, b-) obeys
+    x' = (lambda + K) x + eta with K^2 = -omega^2, omega = |N u0 theta|, so
+
+        x(t) = x* + e^{lambda t} [cos(omega t) + sin(omega t)/omega K] (x0 - x*)
+
+    around its fixed point x* (zero in the closed system, which has no
+    pumps).  J is the 4-node Gauss-Legendre rule on that trajectory, exact
+    to rounding for h well below 1/|lambda| and 1/omega.  Python scalars
+    beat numpy on four amplitudes at five times.
+    """
+    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
+    theta = complex(theta)
+    k_plus = -1j * params.nu0 * theta                 # a+ <- a-, b+ <- b-
+    k_minus = -1j * params.nu0 * theta.conjugate()    # a- <- a+, b- <- b+
+    omega = abs(k_plus)
+    fixed = [0j] * 4
+    if not hamiltonian:
+        # (lambda + K)^-1 = (lambda - K) / (lambda^2 + omega^2), and
+        # lambda^2 + omega^2 = -lambda m with m != 0 as Re lambda = -1;
+        # at theta = 0 this is steady_state_fields to the last bit
+        m = -lam - omega**2 / lam
+        fixed[0], fixed[3] = params.eta_plus / m, params.eta_minus / m
+        fixed[1], fixed[2] = -k_minus / lam * fixed[0], -k_plus / lam * fixed[3]
+    d = [x - f for x, f in zip(a.tolist(), fixed)]
+    kd = [k_plus * d[1], k_minus * d[0], k_plus * d[3], k_minus * d[2]]
+
+    def at(t):
+        wt = omega * t
+        e = cmath.exp(lam * t)
+        c, s = e * math.cos(wt), e * t * (math.sin(wt) / wt if wt else 1.0)
+        return [f + c * x + s * y for f, x, y in zip(fixed, d, kd)]
+
+    return np.array(at(h)), h * sum(w * coupling(at(h * t)) for t, w in _GL_RULE)
+
+
 def coupling(a: np.ndarray) -> complex:
     """Interference coefficient C = alpha+ alpha-^* + beta+ beta-^*.
 
     The dimensionless optical potential is phi(chi) = 2 u0 Re[C e^{i chi}];
     C = 0 means a flat potential (no backscattered light).
     """
-    return a[0] * np.conj(a[1]) + a[2] * np.conj(a[3])
+    return a[0] * a[1].conjugate() + a[2] * a[3].conjugate()
 
 
 def force(sin_chi, cos_chi, c: complex, params: SystemParams):

@@ -7,8 +7,11 @@ bunching theta = (1/N) sum_j exp(-i chi_j), and each particle moves as
     d(u_j)/dtau    = 2 rho_r u0 Im[C e^{i chi_j}],   C = a+ a-* + b+ b-*
 
 (:func:`ringcarl.core.force`).  The state is the plain arrays (a, chi, u).
-Integration is fixed-step classical RK4 (the system is non-stiff for
-|delta|, |N u0| of order one).
+Integration is fixed-step kick-drift-kick Strang splitting into two exactly
+solvable parts: the drift chi += u dt, and the kick at fixed chi, where
+theta is constant, the modes follow their closed-form linear flow
+(:func:`ringcarl.core.mode_flow`) and u gains force(J) with J the time
+integral of C along that flow.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from .core import (
     IntegrationDivergedError,
     SystemParams,
     TimeSeries,
-    coupling,
     field_momentum,
     force,
-    mode_rhs,
+    mode_flow,
     sample_maxwellian,
     steady_state_fields,
 )
@@ -92,51 +94,41 @@ def _initial_state(params: SystemParams, init: InitialCondition):
     return steady_state_fields(params), chi % TWO_PI, u
 
 
-def _rhs(a, chi, u, params, hamiltonian):
-    """Time derivative (da, dchi, du) of the coupled system."""
-    cos_chi = np.cos(chi)
-    sin_chi = np.sin(chi)
-    # a numpy scalar: the sampled theta in _sample (a Python complex) can
-    # differ from it in the last bit, and each keeps its own form
-    theta = (np.sum(cos_chi) - 1j * np.sum(sin_chi)) / chi.size
-    da = mode_rhs(a, theta, params, hamiltonian)
-    return da, u, force(sin_chi, cos_chi, coupling(a), params)
+def _phases(chi):
+    """(sin chi, cos chi, theta) from one trig pass over the particles."""
+    sin_chi, cos_chi = np.sin(chi), np.cos(chi)
+    return sin_chi, cos_chi, complex(np.sum(cos_chi), -np.sum(sin_chi)) / chi.size
 
 
-def _rk4(a, chi, u, params, dt, hamiltonian=False):
-    k1a, k1c, k1u = _rhs(a, chi, u, params, hamiltonian)
-    k2a, k2c, k2u = _rhs(
-        a + 0.5 * dt * k1a, chi + 0.5 * dt * k1c, u + 0.5 * dt * k1u, params, hamiltonian
-    )
-    k3a, k3c, k3u = _rhs(
-        a + 0.5 * dt * k2a, chi + 0.5 * dt * k2c, u + 0.5 * dt * k2u, params, hamiltonian
-    )
-    k4a, k4c, k4u = _rhs(a + dt * k3a, chi + dt * k3c, u + dt * k3u, params, hamiltonian)
-    sixth = dt / 6.0
-    a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
-    chi = chi + sixth * (k1c + 2 * k2c + 2 * k3c + k4c)
-    u = u + sixth * (k1u + 2 * k2u + 2 * k3u + k4u)
-    return a, chi, u
+def _kick(a, phases, params, h, hamiltonian=False):
+    """(a, du): the modes after h at fixed chi, and the velocity kick meanwhile."""
+    sin_chi, cos_chi, theta = phases
+    a, j = mode_flow(a, theta, params, h, hamiltonian)
+    return a, force(sin_chi, cos_chi, j, params)
 
 
 def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
-    """Advance (a, chi, u) by one RK4 step of size dt > 0; chi is wrapped.
+    """Advance (a, chi, u) by one kick-drift-kick Strang step of size dt > 0.
 
+    Both parts are exact, so the step is symmetric, second order and keeps
+    the closed-system momentum invariant to rounding; chi is wrapped.
     Raises IntegrationDivergedError, with tau = nan since the step does not
     know the time, once the modes or velocities stop being finite.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    a, chi, u = _rk4(a, chi, u, params, dt, hamiltonian)
+    a, du = _kick(a, _phases(chi), params, 0.5 * dt, hamiltonian)
+    u = u + du
+    chi = chi + dt * u
+    a, du = _kick(a, _phases(chi), params, 0.5 * dt, hamiltonian)
+    u = u + du
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
         raise IntegrationDivergedError(float("nan"))
     return a, chi % TWO_PI, u
 
 
-def _sample(tau, a, chi, u):
+def _sample(tau, a, theta, u):
     """One TimeSeries row (tau, theta, v_cm, kinetic_energy, a)."""
-    # a Python complex, unlike the RHS's theta; see _rhs
-    theta = complex(np.sum(np.cos(chi)) - 1j * np.sum(np.sin(chi))) / chi.size
     return tau, theta, float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
@@ -149,23 +141,35 @@ def run(
 ) -> TimeSeries:
     """Integrate from the seeded near-homogeneous initial condition.
 
-    Sampling happens every round(sample_every/dt) steps, including tau = 0;
-    finiteness is checked at the same stride.
+    The steps are those of :func:`step`, except that the half kicks meeting
+    between two steps act at the same chi and are fused, so each step takes
+    one trig pass.  Sampling, and the finiteness check, happen every
+    round(sample_every/dt) steps, including tau = 0; a sample splits its
+    kick into the two halves and takes theta from the same pass.
     """
     if t_end <= 0:
         raise DomainError(f"t_end must be positive, got {t_end}")
     a, chi, u = _initial_state(params, init or InitialCondition())
     n_steps = int(round(t_end / dt))
     stride = max(int(round(sample_every / dt)), 1)
-    rows = [_sample(0.0, a, chi, u)]
+    phases = _phases(chi)
+    rows = [_sample(0.0, a, phases[2], u)]
+    kick = 0.5 * dt
     for i in range(1, n_steps + 1):
-        a, chi, u = _rk4(a, chi, u, params, dt)
+        a, du = _kick(a, phases, params, kick)
+        u += du
+        chi += dt * u
+        phases = _phases(chi)
+        kick = dt
         if i % stride == 0:
+            a, du = _kick(a, phases, params, 0.5 * dt)
+            u += du
             tau = i * dt
             if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
                 raise IntegrationDivergedError(tau)
             chi %= TWO_PI
-            rows.append(_sample(tau, a, chi, u))
+            rows.append(_sample(tau, a, phases[2], u))
+            kick = 0.5 * dt
     return TimeSeries.from_samples(rows)
 
 

@@ -15,8 +15,8 @@ reduces to the plasma dispersion function Z (Faddeeva function):
 
 which is entire in s, so the Landau continuation onto and past the
 imaginary axis is automatic.  An adaptive-quadrature evaluation (valid for
-Re s > 0 only) is kept as an independent oracle and as the fallback for
-non-Maxwellian velocity distributions.
+Re s > 0 only) is kept as the independent test oracle for that route; no
+run mode calls it.
 
 Unstable roots are searched on a closed contour: down the imaginary axis
 from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
@@ -143,8 +143,8 @@ def landau_integral_quadrature(
 ) -> complex:
     """Direct adaptive quadrature of the velocity integral, Re(s) > 0 only.
 
-    Independent of the Faddeeva route; used as the accuracy oracle and as
-    the fallback for non-Maxwellian distributions.
+    Independent of the Faddeeva route; the test oracle for
+    :func:`landau_integral`, which every run mode uses instead.
     """
     if params.u_t <= 0:
         raise DomainError("quadrature oracle needs a thermal distribution")

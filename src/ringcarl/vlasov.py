@@ -7,10 +7,10 @@ The one-body distribution obeys (scaled units, kappa = 1)
 with the force F and the four mode equations of :mod:`ringcarl.core`,
 coupled through theta = integral e^{-i chi} f.
 One time step is Strang-split semi-Lagrangian (half chi-advection, full
-u-kick with the fields advanced alongside, half chi-advection), each 1D
-shift done by cubic B-spline interpolation.  The chi domain is one
-potential period [0, 2 pi); the u domain is truncated, with the mass
-leaking past the cut monitored.
+u-kick with the fields advanced alongside by their exact flow at fixed
+theta, half chi-advection), each 1D shift done by cubic B-spline
+interpolation.  The chi domain is one potential period [0, 2 pi); the u
+domain is truncated, with the mass leaking past the cut monitored.
 
 A shift prefilters f into spline coefficients c along the shifted axis,
 then evaluates w0 c[k-1] + w1 c[k] + w2 c[k+1] + w3 c[k+2] at each node,
@@ -39,10 +39,9 @@ from .core import (
     IntegrationDivergedError,
     SystemParams,
     TimeSeries,
-    coupling,
     field_momentum,
     force,
-    mode_rhs,
+    mode_flow,
     steady_state_fields,
 )
 
@@ -245,14 +244,6 @@ def grid_moments(grid: PhaseSpaceGrid):
     return theta, v_cm, ekin
 
 
-def _field_rk4(a, theta, params, dt, hamiltonian):
-    k1 = mode_rhs(a, theta, params, hamiltonian)
-    k2 = mode_rhs(a + 0.5 * dt * k1, theta, params, hamiltonian)
-    k3 = mode_rhs(a + 0.5 * dt * k2, theta, params, hamiltonian)
-    k4 = mode_rhs(a + dt * k3, theta, params, hamiltonian)
-    return a + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def vlasov_step(
     grid: PhaseSpaceGrid,
     a: np.ndarray,
@@ -264,7 +255,8 @@ def vlasov_step(
 
     The u-kick leaves the chi marginal (hence theta) untouched, so the mode
     amplitudes a = (a+, a-, b+, b-) see a constant theta across the whole
-    step and are advanced by RK4 in two halves around the kick.
+    step and follow their exact flow (:func:`ringcarl.core.mode_flow`); the
+    kick shifts u by force(J), with J the time integral of C along it.
 
     Raises IntegrationDivergedError, with tau = nan since the step does not
     know the time, once the kick or f stops being finite.
@@ -275,16 +267,14 @@ def vlasov_step(
     out = PhaseSpaceGrid(grid.chi, grid.u, f, grid.lost_mass)
     theta, _, _ = grid_moments(out)
 
-    a = _field_rk4(a, theta, params, 0.5 * dt, hamiltonian)
-    kick = force(np.sin(out.chi), np.cos(out.chi), coupling(a), params)
+    a, j = mode_flow(a, theta, params, dt, hamiltonian)
+    kick = force(np.sin(out.chi), np.cos(out.chi), j, params)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
     mass_before = out.mass()
-    out.f = shift_clamped_u(out.f, kick * dt / out.du)
+    out.f = shift_clamped_u(out.f, kick / out.du)
     lost = mass_before - out.mass()
     out.lost_mass += lost
-
-    a = _field_rk4(a, theta, params, 0.5 * dt, hamiltonian)
 
     out.f = shift_periodic_chi(out.f, out.u * (0.5 * dt) / out.dchi)
     if not np.all(np.isfinite(out.f)):

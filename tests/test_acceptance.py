@@ -143,6 +143,13 @@ def test_criterion_6_bgk_residual(fig2_series):
 
 
 @pytest.mark.slow
+def test_fig2_wave_runs_with_stronger_pump(fig2_series):
+    """A/S = 0.3 > 0 with delta < 0: the grating drifts towards +u."""
+    rep = bgk.validate_wave(fig2_series, desk_params(2.0, 0.3))
+    assert rep.v_ph_phase > 0 and rep.direction_ok
+
+
+@pytest.mark.slow
 def test_criterion_7_carl_bound(fig3_series):
     p = desk_params(2.0, 0.8)
     bound = st.carl_bound(p)

@@ -115,6 +115,21 @@ class TestValidateWave:
         assert rep.settled
         assert rep.v_ph_vcm == pytest.approx(rep.v_ph_phase, rel=1e-6)
         assert rep.residual < 1e-6
+        assert rep.v_ph_predicted == pytest.approx(wave.v_ph, rel=1e-6)
+        assert rep.direction_ok
+
+    def test_wave_against_stronger_pump_flagged(self):
+        """delta < 0 and N|u0| within the bound: eta+ stronger (A > 0) means
+        a wave drifting in -u contradicts the rule."""
+        p = make_params()
+        assert p.a_asym > 0
+        rep = bgk.validate_wave(self.synthetic(-0.3, 0.3), p)
+        assert not rep.direction_ok
+        assert bgk.validate_wave(self.synthetic(0.3, 0.3), p).direction_ok
+
+    def test_no_rule_for_positive_delta(self):
+        p = make_params(delta=1.0)
+        assert bgk.validate_wave(self.synthetic(-0.3, 0.3), p).direction_ok
 
     def test_drifting_window_rejected(self):
         p = make_params()

@@ -117,6 +117,24 @@ class TestRunExperiment:
             tmp_path / "b/timeseries.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("mode, steps", [("nbody", 20), ("vlasov", 20)])
+    def test_stage_timings(self, tmp_path, mode, steps):
+        text = MINIMAL.replace("mode = nbody", f"mode = {mode}")
+        if mode == "vlasov":
+            text += "\n[vlasov]\nnx = 16\nnv = 32\n"
+        manifest = cli.run_experiment(parse_config(text), tmp_path / "a")
+        t = manifest.timings
+        assert {"setup_s", "integrate_s", "write_s"} <= t.keys()
+        assert all(t[k] >= 0 for k in ("setup_s", "integrate_s", "write_s"))
+        assert t["steps"] == steps
+        assert t["us_per_step"] == pytest.approx(1e6 * t["integrate_s"] / steps)
+        saved = RunManifest.from_json((tmp_path / "a/manifest.json").read_text())
+        assert saved.timings == t
+        # the timings differ between reruns; the CSVs do not
+        cli.run_experiment(parse_config(text), tmp_path / "b")
+        assert (tmp_path / "a/timeseries.csv").read_bytes() == (
+            tmp_path / "b/timeseries.csv").read_bytes()
+
     def test_boundary_mode(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
         text += "\n[boundary]\nn_omega = 50\n"
@@ -144,6 +162,8 @@ class TestRunExperiment:
         rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()
         regimes = {r.split(",")[2] for r in rows[1:]}
         assert "stable" in regimes and len(regimes) == 2  # one above threshold
+        assert {"setup_s", "sweep_s", "write_s"} <= m1.timings.keys()
+        # the rerun resumes although the recorded timings differ
         m2 = cli.run_experiment(cfg, tmp_path)
         assert m2.results["n_computed"] == 0
         assert m2.results["n_resumed"] == 2

@@ -9,6 +9,7 @@ from ringcarl.core import (
     SystemParams,
     coupling,
     force,
+    mode_flow,
     mode_rhs,
     sample_maxwellian,
     steady_state_fields,
@@ -68,11 +69,9 @@ class TestEnsemble:
 
     def test_order_parameter_limits(self):
         # perfectly bunched -> |theta| = 1; uniform grid -> 0
-        a = np.zeros(4, dtype=complex)
-        u = np.zeros(64)
-        theta = nbody._sample(0.0, a, np.full(64, 1.3), u)[1]
+        theta = nbody._phases(np.full(64, 1.3))[2]
         assert abs(theta) == pytest.approx(1.0)
-        theta = nbody._sample(0.0, a, 2 * np.pi * np.arange(64) / 64, u)[1]
+        theta = nbody._phases(2 * np.pi * np.arange(64) / 64)[2]
         assert abs(theta) < 1e-12
 
 
@@ -96,6 +95,52 @@ class TestPotential:
         assert c == 0
         chi = np.linspace(0, 6, 5)
         assert np.all(force(np.sin(chi), np.cos(chi), c, p) == 0)
+
+
+def rk4_modes(a, theta, params, h, n, hamiltonian=False):
+    """Reference: (a(h), integral of C) by n classical RK4 steps of the
+    modes augmented with dJ/dtau = C."""
+    def rhs(y):
+        return np.append(mode_rhs(y[:4], theta, params, hamiltonian), coupling(y[:4]))
+
+    y, dt = np.append(a, 0j), h / n
+    for _ in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[:4], y[4]
+
+
+class TestModeFlow:
+    A0 = np.array([0.8 - 0.3j, -0.4 + 0.9j, 0.2 + 0.1j, 1.1 - 0.6j])
+
+    @pytest.mark.parametrize("hamiltonian", [False, True])
+    # omega > 0; omega = 0 from theta = 0, and from N u0 = 0 at any theta
+    @pytest.mark.parametrize("theta, u0", [(0.3 - 0.4j, -0.01), (0.0j, -0.01), (0.7j, 0.0)])
+    @pytest.mark.parametrize("h", [0.5, 2.0])
+    def test_matches_fine_rk4(self, theta, u0, hamiltonian, h):
+        p = make_params(u0=u0)
+        a, _ = mode_flow(self.A0, theta, p, h, hamiltonian)
+        ref, _ = rk4_modes(self.A0, theta, p, h, 4000, hamiltonian)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("hamiltonian", [False, True])
+    @pytest.mark.parametrize("theta", [0.3 - 0.4j, 0.0j])
+    def test_kick_integral(self, theta, hamiltonian):
+        """J = integral of C along the flow, against a fine RK4 quadrature."""
+        p = make_params()
+        _, j = mode_flow(self.A0, theta, p, 0.05, hamiltonian)
+        _, ref = rk4_modes(self.A0, theta, p, 0.05, 200, hamiltonian)
+        assert abs(j - ref) <= 1e-12 * abs(ref)
+
+    def test_steady_state_is_fixed(self):
+        p = make_params()
+        a = steady_state_fields(p)
+        out, j = mode_flow(a, 0j, p, 0.7)
+        assert np.array_equal(out, a)
+        assert j == 0
 
 
 class TestSteadyState:
