@@ -4,7 +4,7 @@ Subpackages by concern:
 
 * :mod:`ringcarl.core`      -- parameters, units and the mean-field model both
   solvers share: mode equations and their exact flow at fixed bunching,
-  coupling, force, sampled time series
+  coupling, force, sampled time series, the one split-step run loop
 * :mod:`ringcarl.nbody`     -- coupled mode-particle ODE integration and diagnostics
 * :mod:`ringcarl.vlasov`    -- semi-Lagrangian kinetic solver on a phase-space grid
 * :mod:`ringcarl.stability` -- dispersion relation, growth rates, stability boundary

@@ -117,14 +117,7 @@ def _write_series(series: TimeSeries, outdir: Path, manifest: RunManifest) -> No
 
 
 def _nbody_series(cfg: RunConfig, manifest: RunManifest) -> TimeSeries:
-    o = cfg.options["nbody"]
-    init = nbody.InitialCondition(
-        mean_u=o["mean_u"],
-        eps_init=o["eps_init"],
-        cosine_eps=o["cosine_eps"],
-        quiet_velocities=o["quiet_velocities"],
-        random_positions=o["random_positions"],
-    )
+    init = nbody.InitialCondition(**cfg.options["nbody"])  # the [nbody] keys are its fields
     return _integrate(
         cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
         sample_every=cfg.sample_every, dt=cfg.dt,
@@ -173,18 +166,15 @@ def _mode_validate_wave(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> 
     _write_series(series, outdir, manifest)
     report = bgk.validate_wave(series, cfg.params)
     manifest.results["wave_report"] = {
-        k: float(v) if isinstance(v, (int, float, np.floating)) else v
-        for k, v in report.__dict__.items()
+        k: v if isinstance(v, bool) else float(v) for k, v in report.__dict__.items()
     }
 
 
 def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    o = cfg.options["vlasov"]
-    series, snaps = _integrate(
+    series, snaps = _integrate(  # the [vlasov] keys are keywords of run_vlasov
         cfg, manifest, vlasov.run_vlasov,
         cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
-        cosine_eps=o["cosine_eps"], mean_u=o["mean_u"],
-        nx=o["nx"], nv=o["nv"], snapshot_every=o["snapshot_every"],
+        **cfg.options["vlasov"],
     )
     _write_series(series, outdir, manifest)
     with _stage(manifest, "write"):

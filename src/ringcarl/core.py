@@ -34,6 +34,7 @@ __all__ = [
     "TimeSeries",
     "mode_rhs",
     "mode_flow",
+    "split_run",
     "coupling",
     "force",
     "field_momentum",
@@ -242,20 +243,6 @@ class TimeSeries:
     kinetic_energy: np.ndarray  # (M,) mean u^2 / 2 per particle
     field_momentum: np.ndarray  # (M,) |a+|^2 - |a-|^2 + |b+|^2 - |b-|^2
 
-    @classmethod
-    def from_samples(cls, rows) -> "TimeSeries":
-        """Series from (tau, theta, v_cm, kinetic_energy, a) rows."""
-        tau, theta, v_cm, ekin, a = zip(*rows)
-        intensities = np.abs(np.array(a)) ** 2
-        return cls(
-            tau=np.array(tau),
-            theta=np.array(theta),
-            v_cm=np.array(v_cm),
-            intensities=intensities,
-            kinetic_energy=np.array(ekin),
-            field_momentum=field_momentum(intensities),
-        )
-
     def __len__(self) -> int:
         return self.tau.size
 
@@ -264,6 +251,50 @@ class TimeSeries:
         m = len(self)
         start = m - max(int(round(frac * m)), 2)
         return np.arange(max(start, 0), m)
+
+
+def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt: float,
+              snapshot_every: float | None = None):
+    """The run loop of both solvers: Strang steps outer(dt/2) inner(dt) outer(dt/2).
+
+    ``outer(state, h)`` and ``inner(state, h)`` are the two exact parts of
+    the split.  The outer halves meeting between steps fuse into one
+    outer(dt) except at a sync point: a sample (every round(sample_every/dt)
+    steps), a snapshot (every round(snapshot_every/dt) steps) or the last
+    step.  ``sample(state)`` gives the row (theta, v_cm, kinetic_energy, a)
+    and may check the state; an IntegrationDivergedError from it or a part
+    is re-raised with tau = i dt of its step.  Returns the TimeSeries and
+    the (tau, state) snapshots from tau = 0, or only the final state if
+    ``snapshot_every`` is None.  Parts may update arrays in place only if
+    no snapshots are kept.
+    """
+    if not (t_end > 0 and dt > 0):
+        raise DomainError(f"t_end and dt must be positive, got {t_end} and {dt}")
+    n_steps = int(round(t_end / dt))
+    stride = max(int(round(sample_every / dt)), 1)
+    snap_stride = None if snapshot_every is None else max(int(round(snapshot_every / dt)), 1)
+    snaps = [] if snap_stride is None else [(0.0, state)]
+    half = pending = 0.5 * dt
+    tau = 0.0
+    try:
+        rows = [(tau, *sample(state))]
+        for i in range(1, n_steps + 1):
+            tau = i * dt
+            state, pending = inner(outer(state, pending), dt), dt
+            snap = snap_stride is not None and i % snap_stride == 0
+            if i % stride == 0 or snap or i == n_steps:
+                state, pending = outer(state, half), half
+                if i % stride == 0:
+                    rows.append((tau, *sample(state)))
+                if snap:
+                    snaps.append((tau, state))
+    except IntegrationDivergedError as exc:
+        raise IntegrationDivergedError(tau) from exc
+    if snap_stride is None:
+        snaps.append((n_steps * dt, state))
+    tau, theta, v_cm, ekin, a = (np.array(column) for column in zip(*rows))
+    intensities = np.abs(a) ** 2
+    return TimeSeries(tau, theta, v_cm, intensities, ekin, field_momentum(intensities)), snaps
 
 
 def sample_maxwellian(

@@ -16,6 +16,7 @@ integral of C along that flow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .core import (
     force,
     mode_flow,
     sample_maxwellian,
+    split_run,
     steady_state_fields,
 )
 
@@ -100,11 +102,19 @@ def _phases(chi):
     return sin_chi, cos_chi, complex(np.sum(cos_chi), -np.sum(sin_chi)) / chi.size
 
 
-def _kick(a, phases, params, h, hamiltonian=False):
-    """(a, du): the modes after h at fixed chi, and the velocity kick meanwhile."""
-    sin_chi, cos_chi, theta = phases
+def _kick(state, h, params, hamiltonian=False):
+    """The modes after h at fixed chi, and u kicked meanwhile (in place)."""
+    a, chi, u, (sin_chi, cos_chi, theta) = state
     a, j = mode_flow(a, theta, params, h, hamiltonian)
-    return a, force(sin_chi, cos_chi, j, params)
+    u += force(sin_chi, cos_chi, j, params)
+    return a, chi, u, state[3]
+
+
+def _drift(state, h):
+    """chi += u h (in place), with the trig pass the next kick and sample use."""
+    a, chi, u, _ = state
+    chi += h * u
+    return a, chi, u, _phases(chi)
 
 
 def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
@@ -117,19 +127,20 @@ def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    a, du = _kick(a, _phases(chi), params, 0.5 * dt, hamiltonian)
-    u = u + du
-    chi = chi + dt * u
-    a, du = _kick(a, _phases(chi), params, 0.5 * dt, hamiltonian)
-    u = u + du
+    state = (a, np.array(chi, dtype=float), np.array(u, dtype=float), _phases(chi))
+    a, chi, u, _ = state = _kick(_drift(_kick(state, 0.5 * dt, params, hamiltonian), dt),
+                                 0.5 * dt, params, hamiltonian)
+    _sample(state)  # checks, and wraps chi
+    return a, chi, u
+
+
+def _sample(state):
+    """Check the state and wrap chi (in place); the row (theta, v_cm, kinetic_energy, a)."""
+    a, chi, u, phases = state
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
         raise IntegrationDivergedError(float("nan"))
-    return a, chi % TWO_PI, u
-
-
-def _sample(tau, a, theta, u):
-    """One TimeSeries row (tau, theta, v_cm, kinetic_energy, a)."""
-    return tau, theta, float(np.mean(u)), float(np.mean(u**2) / 2.0), a
+    chi %= TWO_PI
+    return phases[2], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
 def run(
@@ -141,36 +152,14 @@ def run(
 ) -> TimeSeries:
     """Integrate from the seeded near-homogeneous initial condition.
 
-    The steps are those of :func:`step`, except that the half kicks meeting
-    between two steps act at the same chi and are fused, so each step takes
-    one trig pass.  Sampling, and the finiteness check, happen every
-    round(sample_every/dt) steps, including tau = 0; a sample splits its
-    kick into the two halves and takes theta from the same pass.
+    The steps of :func:`step`, run by :func:`ringcarl.core.split_run`
+    with the half kicks between steps fused: one trig pass per step, which
+    also gives the sampled theta.  Sampling, and the finiteness check,
+    happen every round(sample_every/dt) steps, including tau = 0.
     """
-    if t_end <= 0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
     a, chi, u = _initial_state(params, init or InitialCondition())
-    n_steps = int(round(t_end / dt))
-    stride = max(int(round(sample_every / dt)), 1)
-    phases = _phases(chi)
-    rows = [_sample(0.0, a, phases[2], u)]
-    kick = 0.5 * dt
-    for i in range(1, n_steps + 1):
-        a, du = _kick(a, phases, params, kick)
-        u += du
-        chi += dt * u
-        phases = _phases(chi)
-        kick = dt
-        if i % stride == 0:
-            a, du = _kick(a, phases, params, 0.5 * dt)
-            u += du
-            tau = i * dt
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
-                raise IntegrationDivergedError(tau)
-            chi %= TWO_PI
-            rows.append(_sample(tau, a, phases[2], u))
-            kick = 0.5 * dt
-    return TimeSeries.from_samples(rows)
+    kick = functools.partial(_kick, params=params)
+    return split_run((a, chi, u, _phases(chi)), kick, _drift, _sample, t_end, sample_every, dt)[0]
 
 
 @dataclass(frozen=True)

@@ -6,29 +6,31 @@ The one-body distribution obeys (scaled units, kappa = 1)
 
 with the force F and the four mode equations of :mod:`ringcarl.core`,
 coupled through theta = integral e^{-i chi} f.
-One time step is Strang-split semi-Lagrangian (half chi-advection, full
+One time step is Strang-split semi-Lagrangian: half a chi drift, a full
 u-kick with the fields advanced alongside by their exact flow at fixed
-theta, half chi-advection), each 1D shift done by cubic B-spline
-interpolation.  The chi domain is one potential period [0, 2 pi); the u
-domain is truncated, with the mass leaking past the cut monitored.
+theta, half a chi drift.  The chi drift is spectral, so drifts compose
+and :func:`ringcarl.core.split_run` fuses the halves between steps; the
+u-kick is cubic B-spline interpolation.  The chi domain is one potential
+period [0, 2 pi); the u domain is truncated, with the mass leaking past
+the cut monitored.
 
-A shift prefilters f into spline coefficients c along the shifted axis,
-then evaluates w0 c[k-1] + w1 c[k] + w2 c[k+1] + w3 c[k+2] at each node,
-where k is the node's integer offset and w the B-spline weights of its
-fractional part.  Lines sharing an offset (runs of u columns for the chi
-shift, runs of chi rows for the kick) read their four taps as slices of
-the padded coefficient array rather than through per-node index arrays;
-the taps, weights and order of the sums are those of the per-node
-formula, so the result is the same to the last bit.
+The kick prefilters f into spline coefficients c along u, then evaluates
+w0 c[k-1] + w1 c[k] + w2 c[k+1] + w3 c[k+2] at each node, where k is the
+node's integer offset and w the B-spline weights of its fractional part.
+The chi rows sharing an offset read their four taps as slices of the
+padded coefficient array rather than through per-node index arrays; the
+taps, weights and order of the sums are those of the per-node formula,
+so the result is the same to the last bit.
 
-Cubic interpolation may undershoot slightly (no limiter); diagnostics
-clamp at zero, the solver does not.
+Neither shift has a limiter, so f may undershoot zero slightly;
+diagnostics clamp at zero, the solver does not.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import spline_filter1d
@@ -38,10 +40,10 @@ from .core import (
     DomainError,
     IntegrationDivergedError,
     SystemParams,
-    TimeSeries,
     field_momentum,
     force,
     mode_flow,
+    split_run,
     steady_state_fields,
 )
 
@@ -132,7 +134,7 @@ def make_grid(
 
 
 # ---------------------------------------------------------------------------
-# Cubic B-spline shifts
+# Shifts: cubic B-spline along u, spectral along chi
 # ---------------------------------------------------------------------------
 
 
@@ -150,8 +152,8 @@ def _offset_groups(base: np.ndarray):
     """Yield (offset, selector) for each distinct integer offset in ``base``.
 
     The selector picks the positions holding that offset: a slice when they
-    are contiguous (a monotone shift such as u dt / dchi on the uniform u
-    grid, or a smooth kick, gives contiguous runs), an index array otherwise.
+    are contiguous (a smooth kick gives contiguous runs of chi rows), an
+    index array otherwise.
     """
     order = np.argsort(base, kind="stable")
     values, starts = np.unique(base[order], return_index=True)
@@ -162,33 +164,29 @@ def _offset_groups(base: np.ndarray):
             yield int(b), idx
 
 
+@functools.lru_cache(maxsize=2)  # a run drifts by dt and dt/2 only
+def _phase_table(nx: int, shift_cells: bytes) -> np.ndarray:
+    """Read-only e^{-2 pi i k s_j / nx}, k = 0 .. nx // 2; costs about an FFT pair to build."""
+    k_shift = np.outer(np.arange(nx // 2 + 1), np.mod(np.frombuffer(shift_cells), nx))
+    table = np.exp((-2j * np.pi / nx) * k_shift)
+    table.flags.writeable = False
+    return table
+
+
 def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0.
 
-    The prefiltered coefficients are wrap-padded once along axis 0; the
-    columns sharing an integer offset then read their four taps as row
-    slices of the padded array, so each column is touched once.
+    The shift moves the trigonometric interpolant of each column exactly
+    (its spectrum times e^{-2 pi i k shift / nx}), so shifts compose,
+    integer shifts are rolls and the column mass (k = 0) is kept; but the
+    Nyquist mode of an even nx, which no real grid function can move by a
+    fraction of a cell, is scaled by cos(pi shift) instead.
     """
     nx, nv = f.shape
-    coef = spline_filter1d(f, order=3, axis=0, mode="grid-wrap")
-    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
-    base = np.floor(q).astype(int)
-    t = q - base
-    w0, w1, w2, w3 = _bspline_weights(t)
-    # offsets that differ by nx read the same rows; folding them into
-    # [-nx/2, nx/2) keeps the padding to at most nx + 2 rows
-    base = (base + nx // 2) % nx - nx // 2
-    lo = int(base.min()) - 1
-    padded = coef[np.arange(lo, nx + int(base.max()) + 2) % nx]
-    out = np.empty_like(coef)
-    for b, cols in _offset_groups(base):
-        r = b - 1 - lo  # padded row holding coef[(b - 1) % nx]
-        acc = w0[cols] * padded[r : r + nx, cols]
-        acc += w1[cols] * padded[r + 1 : r + 1 + nx, cols]
-        acc += w2[cols] * padded[r + 2 : r + 2 + nx, cols]
-        acc += w3[cols] * padded[r + 3 : r + 3 + nx, cols]
-        out[:, cols] = acc
-    return out
+    shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
+    spectrum = np.fft.rfft(f, axis=0)
+    spectrum *= _phase_table(nx, np.ascontiguousarray(shift).tobytes())
+    return np.fft.irfft(spectrum, n=nx, axis=0)
 
 
 def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
@@ -244,41 +242,26 @@ def grid_moments(grid: PhaseSpaceGrid):
     return theta, v_cm, ekin
 
 
-def vlasov_step(
-    grid: PhaseSpaceGrid,
-    a: np.ndarray,
-    params: SystemParams,
-    dt: float,
-    hamiltonian: bool = False,
-) -> tuple[PhaseSpaceGrid, np.ndarray]:
-    """One Strang-split step of size dt; returns the advanced (grid, a).
+def _drift(state, h):
+    """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid."""
+    grid, a = state
+    return replace(grid, f=shift_periodic_chi(grid.f, grid.u * h / grid.dchi)), a
 
-    The u-kick leaves the chi marginal (hence theta) untouched, so the mode
-    amplitudes a = (a+, a-, b+, b-) see a constant theta across the whole
-    step and follow their exact flow (:func:`ringcarl.core.mode_flow`); the
-    kick shifts u by force(J), with J the time integral of C along it.
 
-    Raises IntegrationDivergedError, with tau = nan since the step does not
-    know the time, once the kick or f stops being finite.
+def _kick(state, h, params, hamiltonian=False):
+    """The mode flow and u kick of :func:`vlasov_step` over h, into a new grid.
+
+    A non-finite f shows in theta, hence in the kick; lost mass is counted.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    f = shift_periodic_chi(grid.f, grid.u * (0.5 * dt) / grid.dchi)
-    out = PhaseSpaceGrid(grid.chi, grid.u, f, grid.lost_mass)
-    theta, _, _ = grid_moments(out)
-
-    a, j = mode_flow(a, theta, params, dt, hamiltonian)
-    kick = force(np.sin(out.chi), np.cos(out.chi), j, params)
+    grid, a = state
+    theta, _, _ = grid_moments(grid)
+    a, j = mode_flow(a, theta, params, h, hamiltonian)
+    kick = force(np.sin(grid.chi), np.cos(grid.chi), j, params)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
-    mass_before = out.mass()
-    out.f = shift_clamped_u(out.f, kick / out.du)
-    lost = mass_before - out.mass()
+    out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du))
+    lost = grid.mass() - out.mass()
     out.lost_mass += lost
-
-    out.f = shift_periodic_chi(out.f, out.u * (0.5 * dt) / out.dchi)
-    if not np.all(np.isfinite(out.f)):
-        raise IntegrationDivergedError(float("nan"))
     if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
             f"mass leaving the truncated u domain exceeds {OVERFLOW_FAIL:g} "
@@ -291,6 +274,28 @@ def vlasov_step(
             stacklevel=2,
         )
     return out, a
+
+
+def vlasov_step(
+    grid: PhaseSpaceGrid,
+    a: np.ndarray,
+    params: SystemParams,
+    dt: float,
+    hamiltonian: bool = False,
+) -> tuple[PhaseSpaceGrid, np.ndarray]:
+    """One Strang-split step of size dt; returns the advanced (grid, a).
+
+    Half a spectral chi drift; the u kick, which leaves theta untouched, so
+    the modes a = (a+, a-, b+, b-) follow their exact flow
+    (:func:`ringcarl.core.mode_flow`) and f shifts along u by force(J),
+    with J the time integral of C along it; the other half drift.  The
+    input grid is not modified.  Raises IntegrationDivergedError, with
+    tau = nan since the step does not know the time, once the kick or f
+    stops being finite.
+    """
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    return _drift(_kick(_drift((grid, a), 0.5 * dt), dt, params, hamiltonian), 0.5 * dt)
 
 
 def kinetic_momentum_invariant(grid: PhaseSpaceGrid, a: np.ndarray, params: SystemParams) -> float:
@@ -318,36 +323,20 @@ def run_vlasov(
     ``fields`` holds the initial mode amplitudes (a+, a-, b+, b-); the
     steady state by default.  Snapshots are (tau, PhaseSpaceGrid) pairs
     taken every ``snapshot_every`` (None: only the final state); they hold
-    the step's grids themselves, since ``vlasov_step`` never mutates its
-    input (they share the chi and u node arrays).  The
+    the run's grids themselves, since no part of a step mutates its input
+    grid (they share the chi and u node arrays).  The
     kinetic_energy diagnostic is per particle, matching the N-body
     TimeSeries convention.  A step that diverges raises
     IntegrationDivergedError carrying the time that step was to reach.
     """
-    if t_end <= 0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
     if grid is None:
         grid = make_grid(params, nx=nx, nv=nv, mean_u=mean_u, cosine_eps=cosine_eps)
     else:
         grid = grid.copy()
     a = steady_state_fields(params) if fields is None else fields
-    n_steps = int(round(t_end / dt))
-    stride = max(int(round(sample_every / dt)), 1)
-    snap_stride = None if snapshot_every is None else max(int(round(snapshot_every / dt)), 1)
-    rows = [(0.0, *grid_moments(grid), a)]
-    snaps = []
-    if snap_stride is not None:
-        snaps.append((0.0, grid))
-    for i in range(1, n_steps + 1):
-        tau = i * dt
-        try:
-            grid, a = vlasov_step(grid, a, params, dt)
-        except IntegrationDivergedError as exc:
-            raise IntegrationDivergedError(tau) from exc
-        if i % stride == 0:
-            rows.append((tau, *grid_moments(grid), a))
-        if snap_stride is not None and i % snap_stride == 0:
-            snaps.append((tau, grid))
-    if snap_stride is None:
-        snaps.append((n_steps * dt, grid))
-    return TimeSeries.from_samples(rows), snaps
+    series, snaps = split_run(
+        (grid, a), _drift, functools.partial(_kick, params=params),
+        lambda state: (*grid_moments(state[0]), state[1]),
+        t_end, sample_every, dt, snapshot_every,
+    )
+    return series, [(tau, g) for tau, (g, _) in snaps]

@@ -135,6 +135,17 @@ class TestRunExperiment:
         assert (tmp_path / "a/timeseries.csv").read_bytes() == (
             tmp_path / "b/timeseries.csv").read_bytes()
 
+    def test_wave_report_flags_are_json_booleans(self, tmp_path):
+        """settled and direction_ok reach the manifest as true/false, not 1.0/0.0."""
+        text = MINIMAL.replace("mode = nbody", "mode = validate-wave").replace(
+            "t_end = 1.0", "t_end = 4.0")
+        cli.run_experiment(parse_config(text), tmp_path)
+        report = json.loads((tmp_path / "manifest.json").read_text())["results"]["wave_report"]
+        assert report["settled"] is True
+        assert report["direction_ok"] is False
+        assert all(type(v) is float for k, v in report.items()
+                   if k not in ("settled", "direction_ok"))
+
     def test_boundary_mode(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
         text += "\n[boundary]\nn_omega = 50\n"

@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ringcarl import nbody
+from ringcarl import vlasov as vl
 from ringcarl.core import (
     DomainError,
+    IntegrationDivergedError,
     SystemParams,
     coupling,
     force,
     mode_flow,
     mode_rhs,
     sample_maxwellian,
+    split_run,
     steady_state_fields,
 )
 
@@ -141,6 +144,85 @@ class TestModeFlow:
         out, j = mode_flow(a, 0j, p, 0.7)
         assert np.array_equal(out, a)
         assert j == 0
+
+
+class TestSplitRun:
+    """The run loop both solvers share, on a toy state that logs the parts."""
+
+    @staticmethod
+    def logged_run(**kw):
+        log = []
+
+        def part(name):
+            def advance(state, h):
+                log.append((name, h))
+                return state + 1
+            return advance
+
+        series, snaps = split_run(0, part("outer"), part("inner"),
+                                  lambda state: (0j, 0.0, 0.0, np.zeros(4)), **kw)
+        return log, series, snaps
+
+    def test_fuses_outer_halves_between_sync_points(self):
+        log, series, snaps = self.logged_run(t_end=1.0, sample_every=0.5, dt=0.125,
+                                             snapshot_every=0.375)
+        assert [h for name, h in log if name == "inner"] == [0.125] * 8
+        outer = [h for name, h in log if name == "outer"]
+        # snapshots after steps 3 and 6, samples after steps 4 and 8: each
+        # sync closes a half and the next step opens one; fused full outer
+        # steps only where no sync intervenes
+        h, half = 0.125, 0.0625
+        assert outer == [half, h, h, half, half, half, half, h, half, half, h, half]
+        assert series.tau.tolist() == [0.0, 0.5, 1.0]
+        assert snaps == [(0.0, 0), (0.375, 7), (0.75, 15)]
+
+    def test_final_state_without_snapshots(self):
+        log, series, snaps = self.logged_run(t_end=0.5, sample_every=0.3, dt=0.1)
+        assert series.tau.tolist() == pytest.approx([0.0, 0.3])
+        # the last step closes its half even though it takes no sample
+        assert [h for name, h in log if name == "outer"][-1] == pytest.approx(0.05)
+        assert snaps == [(pytest.approx(0.5), 12)]
+
+    def test_divergence_carries_step_time(self):
+        def inner(state, h):
+            if state == 5:
+                raise IntegrationDivergedError(float("nan"))
+            return state + 1
+
+        with pytest.raises(IntegrationDivergedError) as info:
+            split_run(0, lambda state, h: state, inner, lambda state: (0j, 0.0, 0.0, np.zeros(4)),
+                      t_end=1.0, sample_every=0.1, dt=0.1)
+        assert info.value.tau == 6 * 0.1
+
+    def test_solvers_report_divergence_time(self, monkeypatch):
+        """Both solvers raise with tau = nan and the shared loop stamps the step."""
+        p = make_params(n_particles=64, u0=-1.0 / 64)
+        g = vl.make_grid(p, nx=16, nv=32)
+        g.f[3, 5] = np.nan
+        with pytest.raises(IntegrationDivergedError) as info:
+            vl.run_vlasov(p, grid=g, t_end=0.1, dt=0.01)
+        assert info.value.tau == 0.01
+        assert np.isnan(info.value.__cause__.tau)
+
+        calls = []
+
+        def failing_flow(a, theta, params, h, hamiltonian=False):
+            calls.append(h)
+            a, j = mode_flow(a, theta, params, h, hamiltonian)
+            return (a * np.nan, j) if len(calls) > 3 else (a, j)
+
+        monkeypatch.setattr(nbody, "mode_flow", failing_flow)
+        with pytest.raises(IntegrationDivergedError) as info:
+            nbody.run(p, t_end=1.0, sample_every=0.05, dt=0.01)
+        # the fourth kick (step 4) turns the modes NaN; the check at the
+        # next sample, step 5, reports that step's time
+        assert info.value.tau == 5 * 0.01
+        assert np.isnan(info.value.__cause__.tau)
+
+    def test_rejects_bad_times(self):
+        for kw in (dict(t_end=0.0, dt=0.1), dict(t_end=1.0, dt=0.0)):
+            with pytest.raises(DomainError):
+                split_run(0, None, None, None, sample_every=0.1, **kw)
 
 
 class TestSteadyState:

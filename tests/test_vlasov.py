@@ -13,6 +13,8 @@ from ringcarl.core import (
     steady_state_fields,
 )
 
+TWO_PI = 2 * np.pi
+
 
 def make_params(s=8.0, a=2.0, **kw):
     base = dict(delta=-1.0, n_particles=1000, u0=-1e-3, rho_r=0.01, u_t=3.0)
@@ -43,27 +45,25 @@ class TestGrid:
         assert abs(theta) == pytest.approx(5e-3, rel=1e-10)
 
 
-# Reference kernels: the per-node gather form of the two shifts.  The slice
-# form in ringcarl.vlasov evaluates the same taps in the same order and must
-# match these bit for bit.
+# Reference kernels.  The chi drift is checked against a direct evaluation
+# of the trigonometric interpolant; the u kick against the per-node gather
+# form of the spline shift, which the slice form in ringcarl.vlasov
+# evaluates with the same taps in the same order and must match bit for bit.
 
 
 def _ref_shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
-    """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0."""
+    """out[i, j] = p_j(2 pi (i - shift_cells[j]) / nx), p_j the interpolant of column j.
+
+    p(x) = Re (1/nx) sum_k c_k e^{i k x} over the symmetric frequencies
+    k = -nx/2 .. nx/2 - 1; taking the real part turns the Nyquist term of an
+    even nx into c cos(nx x / 2).
+    """
     nx = f.shape[0]
-    coef = spline_filter1d(f, order=3, axis=0, mode="grid-wrap")
-    q = -np.asarray(shift_cells, dtype=float)
-    base = np.floor(q).astype(int)
-    t = q - base
-    w0, w1, w2, w3 = vl._bspline_weights(t)
-    i = np.arange(nx)[:, None]
-    cols = np.arange(f.shape[1])[None, :]
-    k = (i + base[None, :]) % nx
-    out = w0[None, :] * coef[(k - 1) % nx, cols]
-    out += w1[None, :] * coef[k, cols]
-    out += w2[None, :] * coef[(k + 1) % nx, cols]
-    out += w3[None, :] * coef[(k + 2) % nx, cols]
-    return out
+    c = np.fft.fft(f, axis=0)
+    k = np.fft.fftfreq(nx, 1.0 / nx)
+    x = TWO_PI * (np.arange(nx)[:, None] - np.asarray(shift_cells, dtype=float)[None, :]) / nx
+    terms = c[None, :, :] * np.exp(1j * k[None, :, None] * x[:, None, :])
+    return np.sum(terms, axis=1).real / nx
 
 
 def _ref_shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
@@ -113,9 +113,37 @@ def _field_and_shifts(draw, along):
 class TestShifts:
     @settings(max_examples=300, deadline=None)
     @given(_field_and_shifts(along=0))
-    def test_periodic_matches_gather_reference(self, case):
+    def test_periodic_matches_interpolant(self, case):
         f, shifts = case
-        assert np.array_equal(vl.shift_periodic_chi(f, shifts), _ref_shift_periodic_chi(f, shifts))
+        scale = 1e-12 * (1.0 + np.max(np.abs(f)))
+        np.testing.assert_allclose(vl.shift_periodic_chi(f, shifts),
+                                   _ref_shift_periodic_chi(f, shifts), rtol=0, atol=scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_field_and_shifts(along=0))
+    def test_periodic_half_shifts_compose(self, case):
+        """Two half shifts are one full shift: what lets a run fuse its drifts.
+
+        Not for the Nyquist mode of an even nx, which is scaled by
+        cos(pi shift), so f is taken without it.
+        """
+        f, shifts = case
+        spectrum = np.fft.rfft(f, axis=0)
+        if f.shape[0] % 2 == 0:
+            spectrum[-1] = 0.0
+        f = np.fft.irfft(spectrum, n=f.shape[0], axis=0)
+        half = vl.shift_periodic_chi(vl.shift_periodic_chi(f, 0.5 * shifts), 0.5 * shifts)
+        np.testing.assert_allclose(half, vl.shift_periodic_chi(f, shifts),
+                                   rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(f))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_field_and_shifts(along=0))
+    def test_periodic_keeps_column_mass(self, case):
+        """The k = 0 mode, hence each column's sum, is untouched."""
+        f, shifts = case
+        out = vl.shift_periodic_chi(f, shifts)
+        np.testing.assert_allclose(np.sum(out, axis=0), np.sum(f, axis=0),
+                                   rtol=0, atol=1e-13 * f.shape[0] * (1.0 + np.max(np.abs(f))))
 
     @settings(max_examples=300, deadline=None)
     @given(_field_and_shifts(along=1))
@@ -124,10 +152,14 @@ class TestShifts:
         assert np.array_equal(vl.shift_clamped_u(f, shifts), _ref_shift_clamped_u(f, shifts))
 
     def test_periodic_integer_shift_exact(self):
+        """Integer shifts are rolls, on odd and even grids alike."""
         rng = np.random.default_rng(0)
-        f = rng.random((16, 8))
-        out = vl.shift_periodic_chi(f, np.full(8, 3.0))
-        np.testing.assert_allclose(out, np.roll(f, 3, axis=0), atol=1e-12)
+        for nx in (15, 16):
+            f = rng.random((nx, 8))
+            shifts = np.array([3.0, -3.0, 0.0, 1.0, nx, -nx - 2, 2 * nx + 5, -0.0])
+            out = vl.shift_periodic_chi(f, shifts)
+            for j, s in enumerate(shifts.astype(int)):
+                np.testing.assert_allclose(out[:, j], np.roll(f[:, j], s), rtol=0, atol=1e-14)
 
     def test_clamped_zero_shift_identity(self):
         rng = np.random.default_rng(1)
@@ -260,7 +292,7 @@ class TestRun:
         assert info.value.tau == 0.01
 
     def test_run_matches_gather_reference(self, monkeypatch):
-        """A whole run through the slice kernels equals one through the gathers."""
+        """A whole run through the slice kick equals one through the gathers."""
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
         fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
 
@@ -271,7 +303,6 @@ class TestRun:
 
         series, snaps = run()
         with monkeypatch.context() as m:
-            m.setattr(vl, "shift_periodic_chi", _ref_shift_periodic_chi)
             m.setattr(vl, "shift_clamped_u", _ref_shift_clamped_u)
             ref_series, ref_snaps = run()
         for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum"):
@@ -282,3 +313,35 @@ class TestRun:
             assert np.array_equal(g.f, ref_g.f)
             assert g.lost_mass == ref_g.lost_mass
         assert np.ptp(series.v_cm) > 0.0  # the kick moved the gas
+
+    @pytest.mark.parametrize("nx, physics", [
+        (33, dict(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)),
+        (32, dict(s=8.0, a=2.0)),
+    ])
+    def test_run_matches_repeated_steps(self, nx, physics):
+        """Fusing the half drifts between sync points changes rounding only.
+
+        On an even grid this holds while f carries no Nyquist mode in chi,
+        which a drift scales by cos(pi shift) rather than moving: the
+        strongly driven case builds one of 1e-8 by tau = 2 at nx = 32, where
+        fused and unfused f then differ by 1e-10, so it runs at nx = 33.
+        """
+        p = make_params(**physics)
+        fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
+        g = vl.make_grid(p, nx=nx, nv=64, cosine_eps=0.2)
+        series, snaps = vl.run_vlasov(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
+                                      sample_every=0.25, snapshot_every=0.5)
+        assert [tau for tau, _ in snaps] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
+        for k in range(1, 9):
+            for _ in range(5):
+                g, fl = vl.vlasov_step(g, fl, p, 0.05)
+            theta, v_cm, _ = vl.grid_moments(g)
+            assert abs(series.theta[k] - theta) < 1e-14
+            np.testing.assert_allclose(series.intensities[k], np.abs(fl) ** 2, rtol=1e-12)
+            assert series.v_cm[k] == pytest.approx(v_cm, rel=1e-12, abs=1e-15)
+            if k % 2 == 0:
+                snap = snaps[k // 2][1]
+                assert np.max(np.abs(snap.f - g.f)) < 1e-12 * np.max(g.f)
+                # rounding of two mass sums per step, on a unit mass
+                assert snap.lost_mass == pytest.approx(g.lost_mass, abs=1e-13)
+        assert abs(series.theta[-1] - series.theta[0]) > 1e-2  # the state moved
