@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, bgk, nbody, stability, vlasov
 from .config import MODES, ConfigError, RunConfig, RunManifest, parse_config
-from .core import DomainError, IntegrationDivergedError, TimeSeries
+from .core import DomainError, IntegrationDivergedError, TimeSeries, step_count
 
 __all__ = ["main", "run_experiment", "load_preset", "preset_names"]
 
@@ -98,7 +98,7 @@ def _integrate(cfg: RunConfig, manifest: RunManifest, solver, *args, **kwargs):
     """Call a time-stepping solver as the integrate stage; records its steps."""
     with _stage(manifest, "integrate"):
         out = solver(*args, **kwargs)
-    steps = int(round(cfg.t_end / cfg.dt))
+    steps = step_count(cfg.t_end, cfg.dt)
     manifest.timings["steps"] = steps
     manifest.timings["us_per_step"] = 1e6 * manifest.timings["integrate_s"] / steps
     return out

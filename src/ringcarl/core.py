@@ -35,6 +35,7 @@ __all__ = [
     "mode_rhs",
     "mode_flow",
     "split_run",
+    "step_count",
     "coupling",
     "force",
     "field_momentum",
@@ -253,6 +254,11 @@ class TimeSeries:
         return np.arange(max(start, 0), m)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt that :func:`split_run` takes to reach t_end."""
+    return int(round(t_end / dt))
+
+
 def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt: float,
               snapshot_every: float | None = None):
     """The run loop of both solvers: Strang steps outer(dt/2) inner(dt) outer(dt/2).
@@ -270,7 +276,7 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
     """
     if not (t_end > 0 and dt > 0):
         raise DomainError(f"t_end and dt must be positive, got {t_end} and {dt}")
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     stride = max(int(round(sample_every / dt)), 1)
     snap_stride = None if snapshot_every is None else max(int(round(snapshot_every / dt)), 1)
     snaps = [] if snap_stride is None else [(0.0, state)]

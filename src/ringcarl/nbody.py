@@ -12,6 +12,13 @@ solvable parts: the drift chi += u dt, and the kick at fixed chi, where
 theta is constant, the modes follow their closed-form linear flow
 (:func:`ringcarl.core.mode_flow`) and u gains force(J) with J the time
 integral of C along that flow.
+
+Every step costs one sin/cos pass over the particles, and numpy's float64
+sin/cos runs about twice as fast on phases in ascending order as on
+phases in random order.  :func:`run`, whose particles never leave it,
+therefore re-sorts them by chi at each sample; between samples the drift
+moves each phase only a little, so they stay nearly sorted.  The particles
+are exchangeable, so only the order of the sums giving theta changes.
 """
 
 from __future__ import annotations
@@ -143,6 +150,21 @@ def _sample(state):
     return phases[2], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
+def _sample_sorted(state):
+    """:func:`_sample`, then the particles (chi, u, sin chi, cos chi) sorted by chi.
+
+    The permutation is applied in place to all four arrays, so each
+    particle keeps its own velocity and trig values; sin chi and cos chi
+    stay those of the drifted chi before its wrap.
+    """
+    row = _sample(state)
+    _, chi, u, (sin_chi, cos_chi, _) = state
+    order = np.argsort(chi)
+    for x in (chi, u, sin_chi, cos_chi):
+        x[:] = x[order]
+    return row
+
+
 def run(
     params: SystemParams,
     init: InitialCondition | None = None,
@@ -155,11 +177,15 @@ def run(
     The steps of :func:`step`, run by :func:`ringcarl.core.split_run`
     with the half kicks between steps fused: one trig pass per step, which
     also gives the sampled theta.  Sampling, and the finiteness check,
-    happen every round(sample_every/dt) steps, including tau = 0.
+    happen every round(sample_every/dt) steps, including tau = 0.  Each
+    sample also re-sorts the particles by chi, so the trig pass runs on
+    nearly sorted phases, about twice as fast; against repeated
+    :func:`step` only the order of the sums giving theta differs.
     """
     a, chi, u = _initial_state(params, init or InitialCondition())
     kick = functools.partial(_kick, params=params)
-    return split_run((a, chi, u, _phases(chi)), kick, _drift, _sample, t_end, sample_every, dt)[0]
+    return split_run((a, chi, u, _phases(chi)), kick, _drift, _sample_sorted,
+                     t_end, sample_every, dt)[0]
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,26 @@ class TestRunExperiment:
         assert (tmp_path / "a/timeseries.csv").read_bytes() == (
             tmp_path / "b/timeseries.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode, inner", [("nbody", "_drift"), ("vlasov", "_kick")])
+    def test_timed_steps_are_the_steps_run(self, tmp_path, monkeypatch, mode, inner):
+        """timings.steps is the number of steps the run loop took: its inner
+        part runs once per step."""
+        module = getattr(cli, mode)
+        calls = []
+        part = getattr(module, inner)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return part(*args, **kwargs)
+
+        monkeypatch.setattr(module, inner, counted)
+        text = MINIMAL.replace("mode = nbody", f"mode = {mode}").replace(
+            "t_end = 1.0", "t_end = 1.04")
+        if mode == "vlasov":
+            text += "\n[vlasov]\nnx = 16\nnv = 32\n"
+        manifest = cli.run_experiment(parse_config(text), tmp_path)
+        assert manifest.timings["steps"] == len(calls) == 21
+
     def test_wave_report_flags_are_json_booleans(self, tmp_path):
         """settled and direction_ok reach the manifest as true/false, not 1.0/0.0."""
         text = MINIMAL.replace("mode = nbody", "mode = validate-wave").replace(

@@ -178,6 +178,45 @@ class TestRunAndClassify:
             np.testing.assert_allclose(series.intensities[i], np.abs(a) ** 2, rtol=1e-12)
             assert series.v_cm[i] == pytest.approx(np.mean(u), rel=1e-12, abs=1e-15)
 
+    def test_run_sorts_particles_at_each_sample(self, monkeypatch):
+        """After every sample inside run, chi is non-decreasing, and each
+        particle's (chi, u, sin chi, cos chi) moved as one: sin and cos are,
+        bit for bit, np.sin and np.cos of the drifted chi under the same
+        permutation as chi and u."""
+        p = make_params(n_particles=257)
+        sample, seen = nbody._sample_sorted, []
+
+        def spy(state):
+            _, chi, u, (sin_chi, cos_chi, _) = state
+            drifted, u_before = chi.copy(), u.copy()
+            row = sample(state)
+            seen.append((drifted, u_before, chi.copy(), u.copy(), sin_chi.copy(), cos_chi.copy()))
+            return row
+
+        monkeypatch.setattr(nbody, "_sample_sorted", spy)
+        init = nbody.InitialCondition(random_positions=True)
+        nbody.run(p, init=init, t_end=1.0, sample_every=0.25, dt=0.05)
+        assert len(seen) == 5
+        for drifted, u_before, chi, u, sin_chi, cos_chi in seen:
+            assert np.all(np.diff(chi) >= 0)
+            order = np.argsort(drifted % TWO_PI)
+            np.testing.assert_array_equal(chi, (drifted % TWO_PI)[order])
+            np.testing.assert_array_equal(u, u_before[order])
+            np.testing.assert_array_equal(sin_chi, np.sin(drifted)[order])
+            np.testing.assert_array_equal(cos_chi, np.cos(drifted)[order])
+
+    def test_step_keeps_callers_order(self):
+        """step on permuted particles returns the same permutation of its
+        output on the originals: only run may reorder particles."""
+        p = make_params()
+        a, chi, u = random_state(p)
+        perm = np.random.default_rng(5).permutation(p.n_particles)
+        a1, chi1, u1 = nbody.step(a, chi, u, p, 0.01)
+        a2, chi2, u2 = nbody.step(a, chi[perm], u[perm], p, 0.01)
+        np.testing.assert_allclose(chi2, chi1[perm], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(u2, u1[perm], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(a2, a1, rtol=1e-13, atol=1e-15)
+
     def test_run_shapes_and_sampling(self):
         p = make_params()
         series = nbody.run(p, t_end=1.0, sample_every=0.25, dt=0.05)
