@@ -14,12 +14,11 @@ steps, wall seconds, trig passes and the error.
 Vlasov: runs the ``vlasov-growth`` benchmark workload (N u0 = -1,
 S = 2 S_c, A = 0, 256 x 512 grid, 1 + 1e-6 cos(chi) seed) up to tau = 5,
 with the fused spectral-drift step of ``ringcarl.vlasov.run_vlasov`` and
-with the earlier cubic-spline drift-kick-drift step (its chi shift kept
-here as the reference scheme; the package no longer ships it).  Both share
-the spline u kick.  One row per run: method, dt, steps, wall seconds, the
-relative error of the fitted growth rate of |theta| against the
-dispersion-relation root, and max |theta - theta_ref| against the spectral
-step at dt = 1.25e-3.
+two u kicks: its zero-padded FFT kick, and the earlier cubic-spline kick
+(kept here as the reference scheme; the package no longer ships it).  One
+row per run: u kick, dt, steps, wall seconds, the relative error of the
+fitted growth rate of |theta| against the dispersion-relation root, and
+max |theta - theta_ref| against the FFT kick at dt = 1.25e-3.
 
 Takes several minutes.
 """
@@ -29,12 +28,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-
 from scipy.ndimage import spline_filter1d
 
 from ringcarl import nbody, stability
 from ringcarl import vlasov as vl
-from ringcarl.core import SystemParams, coupling, force, mode_rhs, split_run, steady_state_fields
+from ringcarl.core import SystemParams, coupling, force, mode_rhs
 
 T_END = 10.0
 SAMPLE_EVERY = 0.1
@@ -90,42 +88,66 @@ def strang_theta(params: SystemParams, dt: float) -> np.ndarray:
     return nbody.run(params, init=INIT, t_end=T_END, sample_every=SAMPLE_EVERY, dt=dt).theta
 
 
-def spline_shift_chi(f, shift_cells):
-    """The earlier chi shift: periodic cubic B-spline, out[i, j] = f(i - shift_j, j)."""
-    nx, nv = f.shape
-    coef = spline_filter1d(f, order=3, axis=0, mode="grid-wrap")
-    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
+def _bspline_weights(t: np.ndarray):
+    """Cubic B-spline evaluation weights for the 4 taps at fractional t."""
+    omt = 1.0 - t
+    w0 = omt**3 / 6.0
+    w1 = (4.0 - 6.0 * t**2 + 3.0 * t**3) / 6.0
+    w2 = (4.0 - 6.0 * omt**2 + 3.0 * omt**3) / 6.0
+    w3 = t**3 / 6.0
+    return w0, w1, w2, w3
+
+
+def _offset_groups(base: np.ndarray):
+    """Yield (offset, selector) for each distinct integer offset in ``base``.
+
+    The selector is a slice when the positions holding that offset are
+    contiguous, an index array otherwise.
+    """
+    order = np.argsort(base, kind="stable")
+    values, starts = np.unique(base[order], return_index=True)
+    for b, idx in zip(values, np.split(order, starts[1:])):
+        if idx[-1] - idx[0] + 1 == idx.size:
+            yield int(b), slice(int(idx[0]), int(idx[-1]) + 1)
+        else:
+            yield int(b), idx
+
+
+def spline_shift_u(f, shift_cells):
+    """The earlier u kick: out[i, j] = f(i, j - shift_i) by cubic B-spline.
+
+    f is zero-padded before the prefilter, so the coefficients and the 4-tap
+    evaluation see the same boundary extension; the rows sharing an integer
+    offset read their taps as slices of the padded coefficients.
+    """
+    nrows, nv = f.shape
+    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
     base = np.floor(q).astype(int)
-    w0, w1, w2, w3 = vl._bspline_weights(q - base)
-    base = (base + nx // 2) % nx - nx // 2
-    lo = int(base.min()) - 1
-    padded = coef[np.arange(lo, nx + int(base.max()) + 2) % nx]
-    out = np.empty_like(coef)
-    for b, cols in vl._offset_groups(base):
-        r = b - 1 - lo
-        acc = w0[cols] * padded[r : r + nx, cols]
-        acc += w1[cols] * padded[r + 1 : r + 1 + nx, cols]
-        acc += w2[cols] * padded[r + 2 : r + 2 + nx, cols]
-        acc += w3[cols] * padded[r + 3 : r + 3 + nx, cols]
-        out[:, cols] = acc
+    npad = int(max(4, np.max(np.abs(base)) + 3))
+    padded = np.zeros((nrows, nv + 2 * npad), dtype=f.dtype)
+    padded[:, npad : npad + nv] = f
+    coef = spline_filter1d(padded, order=3, axis=1, mode="mirror")
+    w0, w1, w2, w3 = _bspline_weights(q - base)
+    out = np.empty((nrows, nv), dtype=coef.dtype)
+    for b, rows in _offset_groups(base):
+        c = coef[rows]
+        k = b - 1 + npad  # padded column holding tap 0 of output column 0
+        acc = w0[rows, None] * c[:, k : k + nv]
+        acc += w1[rows, None] * c[:, k + 1 : k + 1 + nv]
+        acc += w2[rows, None] * c[:, k + 2 : k + 2 + nv]
+        acc += w3[rows, None] * c[:, k + 3 : k + 3 + nv]
+        out[rows] = acc
     return out
 
 
 def spline_theta(params: SystemParams, dt: float) -> np.ndarray:
-    """theta at every sample of the spline drift-kick-drift run (unfused)."""
-    def drift(state, h):
-        grid, a = state
-        f = spline_shift_chi(grid.f, grid.u * h / grid.dchi)
-        return vl.PhaseSpaceGrid(grid.chi, grid.u, f, grid.lost_mass), a
-
-    def step(state, h):
-        return drift(vl._kick(drift(state, 0.5 * h), h, params), 0.5 * h)
-
-    grid = vl.make_grid(params, nx=256, nv=512, cosine_eps=1e-6)
-    series, _ = split_run((grid, steady_state_fields(params)), lambda state, h: state,
-                          step, lambda state: (*vl.grid_moments(state[0]), state[1]),
-                          VLASOV_T_END, SAMPLE_EVERY, dt)
-    return series.theta
+    """theta at every sample of the fused run with the spline u kick."""
+    fft_kick = vl.shift_clamped_u
+    vl.shift_clamped_u = spline_shift_u  # vlasov._kick looks it up at call time
+    try:
+        return spectral_theta(params, dt)
+    finally:
+        vl.shift_clamped_u = fft_kick
 
 
 def spectral_theta(params: SystemParams, dt: float) -> np.ndarray:
@@ -167,11 +189,11 @@ def vlasov_table() -> None:
     point = stability.PumpPoint(params.s_total, params.a_asym)
     gamma = stability.max_growth_rate(point, params).real
     ref, ref_s = timed(spectral_theta, params, VLASOV_REFERENCE_DT)
-    print(f"Vlasov reference: spectral drift at dt = {VLASOV_REFERENCE_DT:g} ({ref_s:.1f} s); "
+    print(f"Vlasov reference: FFT u kick at dt = {VLASOV_REFERENCE_DT:g} ({ref_s:.1f} s); "
           f"growth rate {gamma:.6f}, reference error {growth_rel_err(ref, gamma):.4e}\n")
-    print("| chi drift | dt | steps | wall s | growth rel err | max abs(theta - ref) |")
+    print("| u kick | dt | steps | wall s | growth rel err | max abs(theta - ref) |")
     print("|---|---|---|---|---|---|")
-    for name, fn in (("spline, unfused", spline_theta), ("spectral, fused", spectral_theta)):
+    for name, fn in (("cubic spline", spline_theta), ("padded FFT", spectral_theta)):
         for dt in VLASOV_DTS:
             theta, wall = timed(fn, params, dt)
             steps = int(round(VLASOV_T_END / dt))

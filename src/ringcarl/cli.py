@@ -71,11 +71,13 @@ def write_boundary(path, curve: stability.BoundaryCurve) -> None:
 
 
 def write_snapshot(path, grid: vlasov.PhaseSpaceGrid) -> None:
-    """Dense matrix as text: 'nx nv' header line, then one row per chi node."""
+    """Dense matrix as text: 'nx nv' header line, then one row per chi node.
+
+    ``tolist`` yields Python floats, whose ``repr`` is what :func:`_fmt` writes.
+    """
     with open(path, "w") as fh:
         fh.write(f"{grid.nx} {grid.nv}\n")
-        for row in grid.f:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in grid.f.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +390,9 @@ def run_experiment(
         if svg:
             with _stage(manifest, "plot"):
                 _write_svg(cfg, outdir, manifest)
+    except BaseException as exc:  # the manifest of a failed run says so
+        manifest.error = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest.finished = RunManifest.now()
         (outdir / "manifest.json").write_text(manifest.to_json())

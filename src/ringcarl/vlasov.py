@@ -8,19 +8,14 @@ with the force F and the four mode equations of :mod:`ringcarl.core`,
 coupled through theta = integral e^{-i chi} f.
 One time step is Strang-split semi-Lagrangian: half a chi drift, a full
 u-kick with the fields advanced alongside by their exact flow at fixed
-theta, half a chi drift.  The chi drift is spectral, so drifts compose
-and :func:`ringcarl.core.split_run` fuses the halves between steps; the
-u-kick is cubic B-spline interpolation.  The chi domain is one potential
+theta, half a chi drift.  Both shifts are spectral.  The chi drift moves
+each column's periodic trigonometric interpolant, so drifts compose and
+:func:`ringcarl.core.split_run` fuses the halves between steps.  The u
+kick moves the interpolant of each chi row zero-padded to an odd FFT
+length, long enough that what leaves the u domain lands in the padding
+and is cropped instead of wrapping back.  The chi domain is one potential
 period [0, 2 pi); the u domain is truncated, with the mass leaking past
 the cut monitored.
-
-The kick prefilters f into spline coefficients c along u, then evaluates
-w0 c[k-1] + w1 c[k] + w2 c[k+1] + w3 c[k+2] at each node, where k is the
-node's integer offset and w the B-spline weights of its fractional part.
-The chi rows sharing an offset read their four taps as slices of the
-padded coefficient array rather than through per-node index arrays; the
-taps, weights and order of the sums are those of the per-node formula,
-so the result is the same to the last bit.
 
 Neither shift has a limiter, so f may undershoot zero slightly;
 diagnostics clamp at zero, the solver does not.
@@ -33,7 +28,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import spline_filter1d
+from scipy.ndimage import spline_filter1d  # noqa: F401 -- unused; perfbench/spans.py traces the name
 
 from .core import (
     TWO_PI,
@@ -134,34 +129,8 @@ def make_grid(
 
 
 # ---------------------------------------------------------------------------
-# Shifts: cubic B-spline along u, spectral along chi
+# Shifts: spectral along chi and along u
 # ---------------------------------------------------------------------------
-
-
-def _bspline_weights(t: np.ndarray):
-    """Cubic B-spline evaluation weights for the 4 taps at fractional t."""
-    omt = 1.0 - t
-    w0 = omt**3 / 6.0
-    w1 = (4.0 - 6.0 * t**2 + 3.0 * t**3) / 6.0
-    w2 = (4.0 - 6.0 * omt**2 + 3.0 * omt**3) / 6.0
-    w3 = t**3 / 6.0
-    return w0, w1, w2, w3
-
-
-def _offset_groups(base: np.ndarray):
-    """Yield (offset, selector) for each distinct integer offset in ``base``.
-
-    The selector picks the positions holding that offset: a slice when they
-    are contiguous (a smooth kick gives contiguous runs of chi rows), an
-    index array otherwise.
-    """
-    order = np.argsort(base, kind="stable")
-    values, starts = np.unique(base[order], return_index=True)
-    for b, idx in zip(values, np.split(order, starts[1:])):
-        if idx[-1] - idx[0] + 1 == idx.size:
-            yield int(b), slice(int(idx[0]), int(idx[-1]) + 1)
-        else:
-            yield int(b), idx
 
 
 @functools.lru_cache(maxsize=2)  # a run drifts by dt and dt/2 only
@@ -189,36 +158,44 @@ def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=nx, axis=0)
 
 
+def _padded_length(m: int) -> int:
+    """The smallest odd 3-5-7-smooth integer >= m: a fast FFT length with no Nyquist mode."""
+    n = m | 1
+    while True:
+        k = n
+        for p in (3, 5, 7):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 2
+
+
 def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     """out[i, j] = f(i, j - shift_cells[i]); f is zero outside the u domain.
 
-    f is zero-padded *before* the spline prefilter so that the coefficients
-    and the 4-tap evaluation see the same boundary extension; prefiltering
-    first and padding the coefficients is not mass-safe (the reconstruction
-    then fails to reproduce f at the edge nodes, and the prefilter's gain at
-    the grid Nyquist turns that mismatch into a growing edge artefact).
-    The rows sharing an integer offset read their four taps as column
-    slices of the padded coefficients, so each row is touched once.
+    Each row is zero-padded to the length n of :func:`_padded_length` at
+    nv + ceil(max |shift|) + 2, and its trigonometric interpolant on that
+    period is moved exactly (spectrum times e^{-2 pi i k shift / n}); the
+    result is cropped back to the nv nodes.  A shifted row then lands in the
+    padding rather than wrapping round, so the mass that leaves the domain
+    is the cropped part, and the in-domain plus cropped sums are the input
+    sum.  An odd n has no Nyquist mode, so integer shifts are exact moves.
+    The phase table is e^{w 16 a} e^{w b} for k = 16 a + b: two small
+    exponentials rather than one per entry, and accurate to a few ulp where
+    a cumulative product along k drifts by about 1e-14.
     """
     nrows, nv = f.shape
-    q = -np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
-    base = np.floor(q).astype(int)
-    npad = int(max(4, np.max(np.abs(base)) + 3))
-    padded = np.zeros((nrows, nv + 2 * npad), dtype=f.dtype)
-    padded[:, npad : npad + nv] = f
-    coef = spline_filter1d(padded, order=3, axis=1, mode="mirror")
-    t = q - base
-    w0, w1, w2, w3 = _bspline_weights(t)
-    out = np.empty((nrows, nv), dtype=coef.dtype)
-    for b, rows in _offset_groups(base):
-        c = coef[rows]
-        k = b - 1 + npad  # padded column holding tap 0 of output column 0
-        acc = w0[rows, None] * c[:, k : k + nv]
-        acc += w1[rows, None] * c[:, k + 1 : k + 1 + nv]
-        acc += w2[rows, None] * c[:, k + 2 : k + 2 + nv]
-        acc += w3[rows, None] * c[:, k + 3 : k + 3 + nv]
-        out[rows] = acc
-    return out
+    shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
+    n = _padded_length(nv + int(np.ceil(np.max(np.abs(shift)))) + 2)
+    nk = n // 2 + 1
+    w = (-2j * np.pi / n) * shift[:, None]
+    coarse = np.exp(w * np.arange(0, nk, 16))
+    fine = np.exp(w * np.arange(16))
+    table = (coarse[:, :, None] * fine[:, None, :]).reshape(nrows, -1)[:, :nk]
+    spectrum = np.fft.rfft(f, n=n, axis=1)
+    spectrum *= table
+    return np.fft.irfft(spectrum, n=n, axis=1)[:, :nv]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +265,8 @@ def vlasov_step(
     Half a spectral chi drift; the u kick, which leaves theta untouched, so
     the modes a = (a+, a-, b+, b-) follow their exact flow
     (:func:`ringcarl.core.mode_flow`) and f shifts along u by force(J),
-    with J the time integral of C along it; the other half drift.  The
+    with J the time integral of C along it, through the zero-padded FFT of
+    :func:`shift_clamped_u`; the other half drift.  The
     input grid is not modified.  Raises IntegrationDivergedError, with
     tau = nan since the step does not know the time, once the kick or f
     stops being finite.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ringcarl import cli, stability
+from ringcarl import cli, stability, vlasov
 from ringcarl.config import ConfigError, RunManifest, parse_config, sha256_file
 
 MINIMAL = """
@@ -184,6 +184,22 @@ class TestRunExperiment:
         assert len(lines) == 17
         assert len(lines[1].split()) == 32
 
+    def test_snapshot_bytes(self, tmp_path):
+        """Each value is written as its shortest round-trip text, as _fmt
+        writes it: signed zeros, subnormals and undershoots included."""
+        f = np.array([[0.0, -0.0, 5e-324, -2.5e-310],
+                      [-1.7e-15, 0.1, 1.0, 1e300]])
+        grid = vlasov.PhaseSpaceGrid(np.array([0.0, np.pi]), np.arange(4.0), f)
+        path = tmp_path / "snap.txt"
+        cli.write_snapshot(path, grid)
+        assert path.read_bytes() == (b"2 4\n0.0 -0.0 5e-324 -2.5e-310\n"
+                                     b"-1.7e-15 0.1 1.0 1e+300\n")
+        rng = np.random.default_rng(3)
+        grid.f = rng.standard_normal((2, 4)) * 10.0 ** rng.integers(-320, 300, (2, 4))
+        cli.write_snapshot(path, grid)
+        rows = [" ".join(cli._fmt(v) for v in row) for row in grid.f]
+        assert path.read_text() == "2 4\n" + "".join(r + "\n" for r in rows)
+
     def test_phase_diagram_and_resume(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
         text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
@@ -276,6 +292,25 @@ class TestMain:
         assert rc == 0
         m = json.loads((tmp_path / "r/manifest.json").read_text())
         assert m["config"]["run"]["seed"] == "42"
+        assert m["error"] is None
+
+    def test_failed_run_records_error(self, tmp_path, monkeypatch):
+        """A run that diverges exits 2 and leaves a manifest that says why."""
+        make_grid = vlasov.make_grid
+
+        def nan_grid(*args, **kwargs):
+            grid = make_grid(*args, **kwargs)
+            grid.f[3, 5] = np.nan
+            return grid
+
+        monkeypatch.setattr(vlasov, "make_grid", nan_grid)
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text(MINIMAL.replace("mode = nbody", "mode = vlasov")
+                       + "\n[vlasov]\nnx = 16\nnv = 32\n")
+        assert cli.main(["vlasov", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        m = json.loads((tmp_path / "r/manifest.json").read_text())
+        assert m["error"].startswith("IntegrationDivergedError: ")
+        assert m["finished"]
 
     def test_presets_subcommand(self, capsys):
         assert cli.main(["presets"]) == 0

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.ndimage import spline_filter1d
 
 from ringcarl import vlasov as vl
 from ringcarl.core import (
@@ -45,10 +44,10 @@ class TestGrid:
         assert abs(theta) == pytest.approx(5e-3, rel=1e-10)
 
 
-# Reference kernels.  The chi drift is checked against a direct evaluation
-# of the trigonometric interpolant; the u kick against the per-node gather
-# form of the spline shift, which the slice form in ringcarl.vlasov
-# evaluates with the same taps in the same order and must match bit for bit.
+# Reference kernels: direct evaluations of trigonometric interpolants.  The
+# chi drift moves the periodic interpolant of each column; the u kick moves
+# the interpolant of each row zero-padded to the smallest odd 3-5-7-smooth
+# length n >= nv + ceil(max |shift|) + 2, then crops it to the nv nodes.
 
 
 def _ref_shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
@@ -66,24 +65,35 @@ def _ref_shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarra
     return np.sum(terms, axis=1).real / nx
 
 
+def _ref_padded_length(f: np.ndarray, shift_cells: np.ndarray) -> int:
+    """Odd n >= nv + ceil(max |shift|) + 2 with no prime factor but 3, 5 and 7."""
+    n = f.shape[1] + int(np.ceil(np.max(np.abs(shift_cells)))) + 2
+    while True:
+        rest = n
+        for p in (3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _ref_padded_interpolant(f: np.ndarray, shift_cells: np.ndarray, nodes: np.ndarray):
+    """p_i(2 pi (nodes - shift_cells[i]) / n), p_i the interpolant of row i padded to n.
+
+    p(x) = Re (1/n) sum_k c_k e^{i k x} over k = -(n-1)/2 .. (n-1)/2.
+    """
+    n = _ref_padded_length(f, shift_cells)
+    c = np.fft.fft(f, n=n, axis=1)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    x = TWO_PI * (nodes[None, :] - np.asarray(shift_cells, dtype=float)[:, None]) / n
+    terms = c[:, None, :] * np.exp(1j * k[None, None, :] * x[:, :, None])
+    return np.sum(terms, axis=2).real / n
+
+
 def _ref_shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
-    """out[i, j] = f(i, j - shift_cells[i]); f is zero outside the u domain."""
-    nv = f.shape[1]
-    q = -np.asarray(shift_cells, dtype=float)
-    base = np.floor(q).astype(int)
-    npad = int(max(4, np.max(np.abs(base)) + 3))
-    padded = np.zeros((f.shape[0], nv + 2 * npad), dtype=f.dtype)
-    padded[:, npad : npad + nv] = f
-    coef = spline_filter1d(padded, order=3, axis=1, mode="mirror")
-    t = q - base
-    w0, w1, w2, w3 = vl._bspline_weights(t)
-    rows = np.arange(f.shape[0])[:, None]
-    k = np.arange(nv)[None, :] + base[:, None] + npad
-    out = w0[:, None] * coef[rows, k - 1]
-    out += w1[:, None] * coef[rows, k]
-    out += w2[:, None] * coef[rows, k + 1]
-    out += w3[:, None] * coef[rows, k + 2]
-    return out
+    """out[i, j] = f(i, j - shift_cells[i]), the padded interpolant cropped to j < nv."""
+    return _ref_padded_interpolant(f, shift_cells, np.arange(f.shape[1]))
 
 
 def _shift_values(limit):
@@ -147,9 +157,25 @@ class TestShifts:
 
     @settings(max_examples=300, deadline=None)
     @given(_field_and_shifts(along=1))
-    def test_clamped_matches_gather_reference(self, case):
+    def test_clamped_matches_interpolant(self, case):
         f, shifts = case
-        assert np.array_equal(vl.shift_clamped_u(f, shifts), _ref_shift_clamped_u(f, shifts))
+        scale = 1e-12 * (1.0 + np.max(np.abs(f)))
+        np.testing.assert_allclose(vl.shift_clamped_u(f, shifts),
+                                   _ref_shift_clamped_u(f, shifts), rtol=0, atol=scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_field_and_shifts(along=1))
+    def test_clamped_mass_is_kept_or_cropped(self, case):
+        """Each row's sum in the domain plus its sum cropped from the padding
+        is the input row's sum (the k = 0 mode): no mass wraps or vanishes."""
+        f, shifts = case
+        nv = f.shape[1]
+        cropped = _ref_padded_interpolant(
+            f, shifts, np.arange(nv, _ref_padded_length(f, shifts)))
+        kept = vl.shift_clamped_u(f, shifts)
+        np.testing.assert_allclose(np.sum(kept, axis=1) + np.sum(cropped, axis=1),
+                                   np.sum(f, axis=1),
+                                   rtol=0, atol=1e-13 * nv * (1.0 + np.max(np.abs(f))))
 
     def test_periodic_integer_shift_exact(self):
         """Integer shifts are rolls, on odd and even grids alike."""
@@ -291,8 +317,9 @@ class TestRun:
             vl.run_vlasov(p, grid=g, t_end=0.1, dt=0.01)
         assert info.value.tau == 0.01
 
-    def test_run_matches_gather_reference(self, monkeypatch):
-        """A whole run through the slice kick equals one through the gathers."""
+    def test_run_matches_interpolant_reference(self, monkeypatch):
+        """A whole run through the FFT kick equals one through the direct
+        evaluation of the padded interpolant, to rounding."""
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
         fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
 
@@ -306,12 +333,13 @@ class TestRun:
             m.setattr(vl, "shift_clamped_u", _ref_shift_clamped_u)
             ref_series, ref_snaps = run()
         for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum"):
-            assert np.array_equal(getattr(series, name), getattr(ref_series, name)), name
+            np.testing.assert_allclose(getattr(series, name), getattr(ref_series, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
         assert len(snaps) == len(ref_snaps) == 5
         for (tau, g), (ref_tau, ref_g) in zip(snaps, ref_snaps):
             assert tau == ref_tau
-            assert np.array_equal(g.f, ref_g.f)
-            assert g.lost_mass == ref_g.lost_mass
+            assert np.max(np.abs(g.f - ref_g.f)) < 1e-12 * np.max(ref_g.f)
+            assert g.lost_mass == pytest.approx(ref_g.lost_mass, abs=1e-12)
         assert np.ptp(series.v_cm) > 0.0  # the kick moved the gas
 
     @pytest.mark.parametrize("nx, physics", [
