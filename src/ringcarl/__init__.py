@@ -4,7 +4,8 @@ Subpackages by concern:
 
 * :mod:`ringcarl.core`      -- parameters, units and the mean-field model both
   solvers share: mode equations and their exact flow at fixed bunching,
-  coupling, force, sampled time series, the one split-step run loop
+  coupling, force, the momentum invariant, sampled time series, the one
+  split-step run loop
 * :mod:`ringcarl.nbody`     -- coupled mode-particle ODE integration and diagnostics
 * :mod:`ringcarl.vlasov`    -- semi-Lagrangian kinetic solver on a phase-space grid
 * :mod:`ringcarl.stability` -- dispersion relation, growth rates, stability boundary
@@ -24,6 +25,7 @@ from .core import (
     force,
     mode_flow,
     mode_rhs,
+    momentum_invariant,
     sample_maxwellian,
     steady_state_fields,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "coupling",
     "force",
     "field_momentum",
+    "momentum_invariant",
     "sample_maxwellian",
     "steady_state_fields",
     "__version__",

@@ -30,7 +30,10 @@ __all__ = [
     "validate_wave",
     "wave_direction",
     "WaveDirection",
+    "STATIONARY_SLOPE_TOL",
 ]
+
+STATIONARY_SLOPE_TOL = 0.02  # v_cm drift (u-units per 1/kappa) a settled wave stays below
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,7 @@ class WaveValidationReport:
     direction_ok: bool       # False: the rule says with the stronger pump, the wave runs against
 
 
-def validate_wave(
-    series: TimeSeries,
-    params: SystemParams,
-    window_frac: float = 0.25,
-    slope_tol: float = 0.02,
-) -> WaveValidationReport:
+def validate_wave(series: TimeSeries, params: SystemParams) -> WaveValidationReport:
     """Check a settled run against the travelling-wave asymmetry relation.
 
     The wave's phase velocity is the grating drift, via
@@ -159,16 +157,16 @@ def validate_wave(
     direction is checked against the stronger-pump rule where
     :func:`wave_direction` asserts it; A = 0 or a standing grating cannot
     contradict it.  A non-stationary trailing window (v_cm slope above
-    slope_tol) is rejected as invalid input.
+    STATIONARY_SLOPE_TOL) is rejected as invalid input.
     """
     if len(series) < 8:
         raise DomainError("series too short to validate")
-    w = series.trailing_window(window_frac)
+    w = series.trailing_window()
     tau = series.tau[w]
     slope = np.polyfit(tau, series.v_cm[w], 1)[0]
-    if abs(slope) > slope_tol:
+    if abs(slope) > STATIONARY_SLOPE_TOL:
         raise DomainError(
-            f"trailing window not stationary (v_cm slope {slope:.3g} > {slope_tol:g})"
+            f"trailing window not stationary (v_cm slope {slope:.3g} > {STATIONARY_SLOPE_TOL:g})"
         )
     v_ph_vcm = float(np.mean(series.v_cm[w]))
     phases = np.unwrap(np.angle(series.theta[w]))

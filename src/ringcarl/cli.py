@@ -130,7 +130,7 @@ def _mode_nbody(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
     series = _nbody_series(cfg, manifest)
     _write_series(series, outdir, manifest)
     manifest.results["classification"] = (
-        nbody.classify_run(series, cfg.params) if len(series) >= 8 else "unclassified"
+        nbody.classify_run(series) if len(series) >= 8 else "unclassified"
     )
     w = series.trailing_window()
     manifest.results["trailing_abs_theta"] = float(np.mean(np.abs(series.theta[w])))
@@ -148,16 +148,10 @@ def _mode_classify(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 
 
 def _mode_slow_beam(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    v0 = cfg.options["nbody"]["mean_u"]
-    if v0 == 0.0:
-        raise ConfigError(["slow-beam mode needs nbody.mean_u != 0"])
-    series = _integrate(
-        cfg, manifest, nbody.slow_beam_preset, cfg.params, v_initial=v0,
-        t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
-    )
+    series = _nbody_series(cfg, manifest)  # parse_config checks mean_u != 0 and A = 0
     _write_series(series, outdir, manifest)
-    w = series.trailing_window()
-    v_final = float(np.mean(series.v_cm[w]))
+    v0 = cfg.options["nbody"]["mean_u"]
+    v_final = float(np.mean(series.v_cm[series.trailing_window()]))
     manifest.results["v_initial"] = float(v0)
     manifest.results["v_final"] = v_final
     manifest.results["slowing_fraction"] = 1.0 - abs(v_final) / abs(v0)
@@ -186,7 +180,7 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
             manifest.add_file(spath)
     manifest.results["lost_mass"] = float(snaps[-1][1].lost_mass)
     manifest.results["classification"] = (
-        nbody.classify_run(series, cfg.params) if len(series) >= 8 else "unclassified"
+        nbody.classify_run(series) if len(series) >= 8 else "unclassified"
     )
 
 
@@ -222,7 +216,7 @@ def _sweep_cell(args):
         if dynamic:
             p_run = params.with_pump_split(s, a)
             series = nbody.run(p_run, t_end=t_end, dt=dt, sample_every=sample_every)
-            label = nbody.classify_run(series, p_run)
+            label = nbody.classify_run(series)
             regime = f"{regime}/{label}"
     except (DomainError, IntegrationDivergedError, RuntimeError) as exc:
         return [_fmt(s), _fmt(a), f"error:{type(exc).__name__}", _fmt(0.0), _fmt(0.0)]

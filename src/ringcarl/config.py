@@ -35,7 +35,8 @@ MODES = (
     "validate-wave",
 )
 
-# section -> {key: (type tag, default)}; required keys have default None
+# section -> {key: (type tag, default)}; a default of None means unset, and
+# parse_config lists the keys that must be given
 _SCHEMA = {
     "run": {
         "mode": ("mode", None),
@@ -253,6 +254,11 @@ def parse_config(text: str) -> RunConfig:
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")
+    if mode == "slow-beam":
+        if get("nbody", "mean_u") == 0.0:
+            errors.append("slow-beam mode needs nbody.mean_u != 0")
+        if abs(params.a_asym) > 1e-9 * max(params.s_total, 1.0):
+            errors.append(f"slow-beam mode needs symmetric pumps, got A = {params.a_asym:g}")
     if errors:
         raise ConfigError(errors)
 

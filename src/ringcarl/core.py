@@ -39,12 +39,15 @@ __all__ = [
     "coupling",
     "force",
     "field_momentum",
+    "momentum_invariant",
     "sample_maxwellian",
     "steady_state_fields",
     "TWO_PI",
+    "TRAILING_FRAC",
 ]
 
 TWO_PI = 2.0 * np.pi
+TRAILING_FRAC = 0.25  # the trailing analysis window: this share of the samples
 
 
 class DomainError(ValueError):
@@ -233,6 +236,19 @@ def field_momentum(intensities: np.ndarray):
     return i[..., 0] - i[..., 1] + i[..., 2] - i[..., 3]
 
 
+def momentum_invariant(v_cm: float, a: np.ndarray, params: SystemParams) -> float:
+    """Closed-system invariant P = (2/rho_r) N v_cm + field momentum.
+
+    ``v_cm`` is the mean velocity of the gas, from either solver.  The
+    field term enters with unit weight in this amplitude normalization (the
+    N u0 coupling in the mode equations already carries the collective
+    factor).  Conserved exactly when decay and pumps are switched off
+    (``hamiltonian=True`` stepping).
+    """
+    return float((2.0 / params.rho_r) * params.n_particles * v_cm
+                 + field_momentum(np.abs(a) ** 2))
+
+
 @dataclass
 class TimeSeries:
     """Uniformly sampled diagnostics of one run."""
@@ -247,10 +263,10 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.tau.size
 
-    def trailing_window(self, frac: float = 0.25) -> np.ndarray:
-        """Index array of the trailing analysis window."""
+    def trailing_window(self) -> np.ndarray:
+        """Index array of the trailing analysis window (at least two samples)."""
         m = len(self)
-        start = m - max(int(round(frac * m)), 2)
+        start = m - max(int(round(TRAILING_FRAC * m)), 2)
         return np.arange(max(start, 0), m)
 
 
@@ -272,7 +288,8 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
     is re-raised with tau = i dt of its step.  Returns the TimeSeries and
     the (tau, state) snapshots from tau = 0, or only the final state if
     ``snapshot_every`` is None.  Parts may update arrays in place only if
-    no snapshots are kept.
+    no snapshots are kept.  With t_end = sample_every = dt it is one
+    unfused step, which is how the solvers' single steps run.
     """
     if not (t_end > 0 and dt > 0):
         raise DomainError(f"t_end and dt must be positive, got {t_end} and {dt}")

@@ -34,7 +34,6 @@ from .core import (
     IntegrationDivergedError,
     SystemParams,
     TimeSeries,
-    field_momentum,
     force,
     mode_flow,
     sample_maxwellian,
@@ -44,13 +43,16 @@ from .core import (
 
 __all__ = [
     "InitialCondition",
-    "ClassifyThresholds",
     "step",
     "run",
     "classify_run",
-    "slow_beam_preset",
-    "momentum_invariant",
+    "THETA_MIN",
+    "SLOPE_TOL",
 ]
+
+# classify_run thresholds on the trailing window
+THETA_MIN = 0.05  # |theta| below this throughout: no ordering at all
+SLOPE_TOL = 2e-3  # v_cm drift (u-units per 1/kappa) above this: runaway
 
 
 @dataclass(frozen=True)
@@ -127,17 +129,15 @@ def _drift(state, h):
 def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
     """Advance (a, chi, u) by one kick-drift-kick Strang step of size dt > 0.
 
+    One step of :func:`ringcarl.core.split_run` on copies of chi and u.
     Both parts are exact, so the step is symmetric, second order and keeps
     the closed-system momentum invariant to rounding; chi is wrapped.
-    Raises IntegrationDivergedError, with tau = nan since the step does not
-    know the time, once the modes or velocities stop being finite.
+    Raises IntegrationDivergedError once the modes or velocities stop being
+    finite.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
     state = (a, np.array(chi, dtype=float), np.array(u, dtype=float), _phases(chi))
-    a, chi, u, _ = state = _kick(_drift(_kick(state, 0.5 * dt, params, hamiltonian), dt),
-                                 0.5 * dt, params, hamiltonian)
-    _sample(state)  # checks, and wraps chi
+    kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
+    _, [(_, (a, chi, u, _))] = split_run(state, kick, _drift, _sample, dt, dt, dt)
     return a, chi, u
 
 
@@ -188,60 +188,19 @@ def run(
                      t_end, sample_every, dt)[0]
 
 
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    theta_min: float = 0.05       # below: no ordering at all
-    slope_tol: float = 2e-3       # v_cm drift (u-units per 1/kappa) above: runaway
-    window_frac: float = 0.25
-
-
-def classify_run(
-    series: TimeSeries,
-    params: SystemParams,
-    thresholds: ClassifyThresholds = ClassifyThresholds(),
-) -> str:
+def classify_run(series: TimeSeries) -> str:
     """Label a finished run as 'stable', 'ordered-wave' or 'carl'.
 
     Decision over the trailing window: stable if |theta| never reaches
-    theta_min there; otherwise carl if the linear-fit slope of v_cm exceeds
-    slope_tol; otherwise ordered-wave.
+    THETA_MIN there; otherwise carl if the linear-fit slope of v_cm exceeds
+    SLOPE_TOL; otherwise ordered-wave.
     """
     if len(series) < 8:
         raise DomainError("series too short to classify")
-    w = series.trailing_window(thresholds.window_frac)
-    if np.max(np.abs(series.theta[w])) < thresholds.theta_min:
+    w = series.trailing_window()
+    if np.max(np.abs(series.theta[w])) < THETA_MIN:
         return "stable"
     slope = np.polyfit(series.tau[w], series.v_cm[w], 1)[0]
-    if abs(slope) > thresholds.slope_tol:
+    if abs(slope) > SLOPE_TOL:
         return "carl"
     return "ordered-wave"
-
-
-def slow_beam_preset(
-    params: SystemParams,
-    v_initial: float,
-    t_end: float = 60.0,
-    sample_every: float = 0.1,
-    dt: float = 1e-3,
-) -> TimeSeries:
-    """Beam-stopping run: symmetric pumps, nonzero initial mean velocity."""
-    if abs(params.a_asym) > 1e-9 * max(params.s_total, 1.0):
-        raise DomainError("slow_beam_preset requires symmetric pumps (A = 0)")
-    return run(
-        params,
-        init=InitialCondition(mean_u=v_initial),
-        t_end=t_end,
-        sample_every=sample_every,
-        dt=dt,
-    )
-
-
-def momentum_invariant(a, u, params: SystemParams) -> float:
-    """Closed-system invariant P = (2/rho_r) sum u_j + field momentum.
-
-    The field term |a+|^2 - |a-|^2 + |b+|^2 - |b-|^2 enters with unit
-    weight in this amplitude normalization (the N u0 coupling in the mode
-    equations already carries the collective factor).  Conserved exactly
-    when decay and pumps are switched off (``hamiltonian=True`` stepping).
-    """
-    return float((2.0 / params.rho_r) * np.sum(u) + field_momentum(np.abs(a) ** 2))

@@ -14,9 +14,7 @@ reduces to the plasma dispersion function Z (Faddeeva function):
     K(s) = (2 i / u_t^2) * (1 + zeta Z(zeta)),   zeta = i s / u_t,
 
 which is entire in s, so the Landau continuation onto and past the
-imaginary axis is automatic.  An adaptive-quadrature evaluation (valid for
-Re s > 0 only) is kept as the independent test oracle for that route; no
-run mode calls it.
+imaginary axis is automatic.
 
 Unstable roots are searched on a closed contour: down the imaginary axis
 from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
@@ -45,7 +43,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 from scipy.special import wofz
 
 from .core import DomainError, SystemParams
@@ -55,7 +52,6 @@ __all__ = [
     "BoundaryCurve",
     "RegimeResult",
     "landau_integral",
-    "landau_integral_quadrature",
     "dispersion",
     "dispersion_derivative",
     "max_growth_rate",
@@ -136,39 +132,6 @@ def _landau_kernel_derivative(s, params: SystemParams):
     # d/dzeta [zeta Z] = Z + zeta Z',  Z' = -2 (1 + zeta Z)
     dk_dzeta = (2j / params.u_t**2) * (z - 2.0 * zeta * (1.0 + zeta * z))
     return pref * dk_dzeta * (1j / params.u_t)
-
-
-def landau_integral_quadrature(
-    s: complex, params: SystemParams, rel_tol: float = 1e-11
-) -> complex:
-    """Direct adaptive quadrature of the velocity integral, Re(s) > 0 only.
-
-    Independent of the Faddeeva route; the test oracle for
-    :func:`landau_integral`, which every run mode uses instead.
-    """
-    if params.u_t <= 0:
-        raise DomainError("quadrature oracle needs a thermal distribution")
-    if np.real(s) <= 0:
-        raise DomainError("quadrature route valid only for Re(s) > 0")
-    ut = params.u_t
-
-    def fprime(u):
-        return -2.0 * u * np.exp(-((u / ut) ** 2)) / (np.sqrt(np.pi) * ut**3)
-
-    # F' is odd, so u and -u fold into F'(u) (-2 i u) / (s^2 + u^2) on u >= 0;
-    # for real s one part of that is identically 0 rather than 0 by symmetry.
-    def integrand(u, part):
-        val = fprime(u) * (-2j * u) / (s * s + u * u)
-        return val.real if part == "re" else val.imag
-
-    lim = 12.0 * ut + 4.0 * abs(s)
-    re, _ = integrate.quad(
-        integrand, 0.0, lim, args=("re",), epsabs=0, epsrel=rel_tol, limit=400
-    )
-    im, _ = integrate.quad(
-        integrand, 0.0, lim, args=("im",), epsabs=0, epsrel=rel_tol, limit=400
-    )
-    return _landau_prefactor(params) * complex(re, im)
 
 
 def _dispersion_terms(s, i_s, point: PumpPoint, delta: float):
@@ -404,10 +367,15 @@ def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
     return roots
 
 
+def _cold_unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
+    """The roots of the cold-gas quartic in the open right half-plane."""
+    return [complex(r) for r in _cold_roots(point, params) if r.real > 0]
+
+
 def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:
     """Number of zeros of D in the open right half-plane."""
     if params.u_t == 0.0:
-        return int(np.sum(_cold_roots(point, params).real > 0))
+        return len(_cold_unstable_roots(point, params))
     return _contour_count(point, params, _search_radius(point, params))[0]
 
 
@@ -420,10 +388,10 @@ def max_growth_rate(point: PumpPoint, params: SystemParams) -> complex | None:
     returned.
     """
     if params.u_t == 0.0:
-        roots = [complex(r) for r in _cold_roots(point, params) if r.real > 0]
-        return max(roots, key=lambda r: r.real) if roots else None
-    roots = _unstable_roots(point, params)
-    return max(roots, key=lambda r: r.real) if roots else None
+        roots = _cold_unstable_roots(point, params)
+    else:
+        roots = _unstable_roots(point, params)
+    return max(roots, key=lambda r: r.real, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +409,25 @@ def default_omega_grid(params: SystemParams, n: int = 2048) -> np.ndarray:
 def boundary_curve(params: SystemParams, omega_grid: np.ndarray | None = None) -> BoundaryCurve:
     """Marginal curve: solve D(i omega) = 0 for (S, A) at each omega.
 
-    D(i omega) = 0 splits into two real equations linear in (S, A); samples
-    with a singular 2x2 system, S < 0, or |A| > S are dropped.
+    D(i omega) = 0 splits into two real equations linear in (S, A), solved
+    by Cramer's rule on the whole omega array; samples with a singular 2x2
+    system, S < 0, or |A| > S are dropped.
     """
     if omega_grid is None:
         omega_grid = default_omega_grid(params)
+    w = np.asarray(omega_grid, dtype=float)
     d = params.delta
-    keep_w, keep_s, keep_a = [], [], []
-    i_vals = landau_integral(1j * np.asarray(omega_grid, dtype=float), params)
-    for w, i_w in zip(omega_grid, i_vals):
-        c_s = -1j * d * i_w
-        c_a = (1.0 + 1j * w) * i_w
-        m = np.array([[c_s.real, c_a.real], [c_s.imag, c_a.imag]])
-        b = np.array([-(d**2 + 1.0 - w**2), -2.0 * w])
-        det = np.linalg.det(m)
-        if abs(det) < 1e-300:
-            continue
-        s_val, a_val = np.linalg.solve(m, b)
-        if s_val < 0 or abs(a_val) > s_val:
-            continue
-        keep_w.append(w)
-        keep_s.append(s_val)
-        keep_a.append(a_val)
-    return BoundaryCurve(np.array(keep_w), np.array(keep_s), np.array(keep_a))
+    i_w = landau_integral(1j * w, params)
+    c_s = -1j * d * i_w            # coefficient of S in D(i omega)
+    c_a = (1.0 + 1j * w) * i_w     # coefficient of A
+    b_re, b_im = -(d**2 + 1.0 - w**2), -2.0 * w
+    det = c_s.real * c_a.imag - c_a.real * c_s.imag
+    regular = np.abs(det) >= 1e-300
+    det = np.where(regular, det, 1.0)
+    s_val = (b_re * c_a.imag - c_a.real * b_im) / det
+    a_val = (c_s.real * b_im - b_re * c_s.imag) / det
+    keep = regular & (s_val >= 0) & (np.abs(a_val) <= s_val)
+    return BoundaryCurve(w[keep], s_val[keep], a_val[keep])
 
 
 def threshold_sc_a0(params: SystemParams) -> float:
@@ -506,10 +470,6 @@ def s_bgk(params: SystemParams, a_asym: float) -> float:
     return threshold_sc_a0(params) * (1.0 + corr**2)
 
 
-def is_warm_gas(params: SystemParams) -> bool:
-    return params.u_t >= WARM_GAS_UT
-
-
 @dataclass(frozen=True)
 class RegimeResult:
     regime: str                 # 'stable' | 'bgk-ordered' | 'carl'
@@ -530,7 +490,7 @@ def classify_regime(point: PumpPoint, params: SystemParams) -> RegimeResult:
         return RegimeResult("stable", None)
     if point.s_total > 0 and abs(point.a_asym) / point.s_total > carl_bound(params):
         return RegimeResult("carl", root)
-    if is_warm_gas(params):
+    if params.u_t >= WARM_GAS_UT:
         if point.s_total > s_bgk(params, point.a_asym):
             return RegimeResult("bgk-ordered", root)
         return RegimeResult("carl", root)

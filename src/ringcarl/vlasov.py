@@ -35,7 +35,6 @@ from .core import (
     DomainError,
     IntegrationDivergedError,
     SystemParams,
-    field_momentum,
     force,
     mode_flow,
     split_run,
@@ -48,7 +47,6 @@ __all__ = [
     "vlasov_step",
     "grid_moments",
     "run_vlasov",
-    "kinetic_momentum_invariant",
 ]
 
 # mass leaving the truncated u domain: warn above this much in one step,
@@ -253,6 +251,11 @@ def _kick(state, h, params, hamiltonian=False):
     return out, a
 
 
+def _sample(state):
+    """The row (theta, v_cm, kinetic_energy, a) of a (grid, a) state."""
+    return (*grid_moments(state[0]), state[1])
+
+
 def vlasov_step(
     grid: PhaseSpaceGrid,
     a: np.ndarray,
@@ -260,27 +263,20 @@ def vlasov_step(
     dt: float,
     hamiltonian: bool = False,
 ) -> tuple[PhaseSpaceGrid, np.ndarray]:
-    """One Strang-split step of size dt; returns the advanced (grid, a).
+    """One Strang-split step of size dt > 0; returns the advanced (grid, a).
 
-    Half a spectral chi drift; the u kick, which leaves theta untouched, so
-    the modes a = (a+, a-, b+, b-) follow their exact flow
+    One step of :func:`ringcarl.core.split_run`: half a spectral chi drift;
+    the u kick, which leaves theta untouched, so the modes
+    a = (a+, a-, b+, b-) follow their exact flow
     (:func:`ringcarl.core.mode_flow`) and f shifts along u by force(J),
     with J the time integral of C along it, through the zero-padded FFT of
-    :func:`shift_clamped_u`; the other half drift.  The
-    input grid is not modified.  Raises IntegrationDivergedError, with
-    tau = nan since the step does not know the time, once the kick or f
-    stops being finite.
+    :func:`shift_clamped_u`; the other half drift.  The input grid is not
+    modified.  Raises IntegrationDivergedError once the kick or f stops
+    being finite.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    return _drift(_kick(_drift((grid, a), 0.5 * dt), dt, params, hamiltonian), 0.5 * dt)
-
-
-def kinetic_momentum_invariant(grid: PhaseSpaceGrid, a: np.ndarray, params: SystemParams) -> float:
-    """Grid-quadrature version of the closed-system momentum invariant."""
-    _, v_cm, _ = grid_moments(grid)
-    pf = field_momentum(np.abs(a) ** 2)
-    return float((2.0 / params.rho_r) * params.n_particles * v_cm + pf)
+    kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
+    _, [(_, state)] = split_run((grid, a), _drift, kick, _sample, dt, dt, dt)
+    return state
 
 
 def run_vlasov(
@@ -312,9 +308,6 @@ def run_vlasov(
     else:
         grid = grid.copy()
     a = steady_state_fields(params) if fields is None else fields
-    series, snaps = split_run(
-        (grid, a), _drift, functools.partial(_kick, params=params),
-        lambda state: (*grid_moments(state[0]), state[1]),
-        t_end, sample_every, dt, snapshot_every,
-    )
+    series, snaps = split_run((grid, a), _drift, functools.partial(_kick, params=params),
+                              _sample, t_end, sample_every, dt, snapshot_every)
     return series, [(tau, g) for tau, (g, _) in snaps]

@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import landau_integral_quadrature
 from ringcarl import bgk, cli, nbody, stability as st, vlasov as vl
 from ringcarl.config import parse_config
-from ringcarl.core import SystemParams
+from ringcarl.core import SystemParams, momentum_invariant
 
 DELTA = -1.0
 N_DESK = 10**4
@@ -53,8 +54,8 @@ def fig3_series():
 
 @pytest.fixture(scope="module")
 def slow_beam_series():
-    return nbody.slow_beam_preset(desk_params(2.0, 0.0), v_initial=0.3,
-                                  t_end=120.0, dt=1e-3)
+    return nbody.run(desk_params(2.0, 0.0), init=nbody.InitialCondition(mean_u=0.3),
+                     t_end=120.0, dt=1e-3)
 
 
 def test_criterion_1_threshold_consistency():
@@ -91,7 +92,7 @@ def test_criterion_3_landau_oracle():
     ok = True
     for s in grid:
         a = complex(st.landau_integral(s, p))
-        b = st.landau_integral_quadrature(s, p)
+        b = landau_integral_quadrature(s, p)
         ok &= abs(a - b) / abs(b) < 1e-8
     for w in (0.1, 1.0, 4.0):
         on = complex(st.landau_integral(1j * w, p))
@@ -108,23 +109,22 @@ def test_criterion_4_momentum_conservation():
     )
     a = rng.normal(size=4) + 1j * rng.normal(size=4)
     chi, u = rng.uniform(0, 2 * np.pi, n), rng.normal(0, 2, n)
-    p0 = nbody.momentum_invariant(a, u, p)
+    p0 = momentum_invariant(np.mean(u), a, p)
     for _ in range(10000):
         a, chi, u = nbody.step(a, chi, u, p, 1e-3, hamiltonian=True)
-    drift = abs(nbody.momentum_invariant(a, u, p) - p0) / max(abs(p0), 1.0)
+    drift = abs(momentum_invariant(np.mean(u), a, p) - p0) / max(abs(p0), 1.0)
     report(4, "momentum conservation", drift < 1e-8)
 
 
 @pytest.mark.slow
 def test_criterion_5_regime_reproduction(fig2_series, fig3_series,
                                          slow_beam_series):
-    th = nbody.ClassifyThresholds()
-    ok = nbody.classify_run(fig2_series, desk_params(2.0, 0.3)) == "ordered-wave"
+    ok = nbody.classify_run(fig2_series) == "ordered-wave"
     w = fig2_series.trailing_window()
     ok &= np.mean(np.abs(fig2_series.theta[w])) > 0.1
-    ok &= abs(np.polyfit(fig2_series.tau[w], fig2_series.v_cm[w], 1)[0]) < th.slope_tol
+    ok &= abs(np.polyfit(fig2_series.tau[w], fig2_series.v_cm[w], 1)[0]) < nbody.SLOPE_TOL
 
-    ok &= nbody.classify_run(fig3_series, desk_params(2.0, 0.8)) == "carl"
+    ok &= nbody.classify_run(fig3_series) == "carl"
     blocks = np.array_split(np.abs(fig3_series.v_cm[len(fig3_series) // 4:]), 6)
     means = [b.mean() for b in blocks]
     ok &= all(a < b for a, b in zip(means, means[1:]))
@@ -164,11 +164,10 @@ def test_criterion_7_carl_bound(fig3_series):
         sup = max(sup, aos.max())
     ok = abs(sup - bound) < 1e-3
     # the strongly asymmetric run never settles into a wave
-    th = nbody.ClassifyThresholds()
     w = fig3_series.trailing_window()
     slope = np.polyfit(fig3_series.tau[w], fig3_series.v_cm[w], 1)[0]
-    ok &= nbody.classify_run(fig3_series, p) == "carl"
-    ok &= abs(slope) > th.slope_tol
+    ok &= nbody.classify_run(fig3_series) == "carl"
+    ok &= abs(slope) > nbody.SLOPE_TOL
     report(7, "asymmetry bound", ok)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ u_t = 3.0
 s_total = 8.0
 a_over_s = 0.25
 """
+
+SLOW_BEAM = MINIMAL.replace("mode = nbody", "mode = slow-beam").replace(
+    "a_over_s = 0.25", "a_over_s = 0.0") + "\n[nbody]\nmean_u = 0.5\n"
 
 
 class TestParseConfig:
@@ -63,6 +70,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         assert len(err.value.violations) >= 2
+
+    def test_slow_beam_rejects_asymmetric(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(SLOW_BEAM.replace("a_over_s = 0.0", "a_over_s = 0.25"))
+        assert any("symmetric pumps" in v for v in err.value.violations)
 
     def test_grid_syntax(self):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
@@ -267,6 +279,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             cli.run_experiment(parse_config(text), tmp_path)
 
+    def test_slow_beam_applies_nbody_keys(self, tmp_path):
+        """Every [nbody] key seeds the slow-beam run, not only mean_u."""
+        cli.run_experiment(parse_config(SLOW_BEAM), tmp_path / "plain")
+        quiet = SLOW_BEAM + "cosine_eps = 0.2\n"
+        cli.run_experiment(parse_config(quiet), tmp_path / "quiet")
+        plain = (tmp_path / "plain/timeseries.csv").read_bytes()
+        assert (tmp_path / "quiet/timeseries.csv").read_bytes() != plain
+
 
 class TestMain:
     def test_missing_config_file(self, capsys):
@@ -312,9 +332,23 @@ class TestMain:
         assert m["error"].startswith("IntegrationDivergedError: ")
         assert m["finished"]
 
+    def test_slow_beam_asymmetric_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "asym.ini"
+        cfg.write_text(SLOW_BEAM.replace("a_over_s = 0.0", "a_over_s = 0.25"))
+        assert cli.main(["slow-beam", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+
     def test_presets_subcommand(self, capsys):
         assert cli.main(["presets"]) == 0
         assert "fig2" in capsys.readouterr().out
+
+
+def test_import_leaves_out_scipy_integrate():
+    """scipy.integrate serves only the test oracles; a run never imports it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, ringcarl.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFloatFormat:
