@@ -219,15 +219,23 @@ def coupling(a: np.ndarray) -> complex:
     return a[0] * a[1].conjugate() + a[2] * a[3].conjugate()
 
 
-def force(sin_chi, cos_chi, c: complex, params: SystemParams):
+def force(sin_chi, cos_chi, c: complex, params: SystemParams, work=None):
     """Scaled acceleration du/dtau = 2 rho_r u0 Im[C e^{i chi}].
 
     Takes sin(chi) and cos(chi) so a caller that already has them pays no
     second trig pass.  This is -rho_r d(phi)/d(chi): particles are pushed
-    towards the minima of the optical potential.
+    towards the minima of the optical potential.  ``work``, a float array
+    of shape (2,) + shape(sin_chi), holds the intermediates, and work[0]
+    the returned force, so a caller that steps many times allocates nothing.
     """
+    if work is None:
+        work = np.empty((2,) + np.shape(sin_chi))
+    out, tmp = work
     # Im[C e^{i chi}] = Re(C) sin(chi) + Im(C) cos(chi)
-    return 2.0 * params.rho_r * params.u0 * (c.real * sin_chi + c.imag * cos_chi)
+    np.multiply(sin_chi, c.real, out=out)
+    out += np.multiply(cos_chi, c.imag, out=tmp)
+    out *= 2.0 * params.rho_r * params.u0
+    return out
 
 
 def field_momentum(intensities: np.ndarray):

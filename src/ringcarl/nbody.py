@@ -13,17 +13,21 @@ theta is constant, the modes follow their closed-form linear flow
 (:func:`ringcarl.core.mode_flow`) and u gains force(J) with J the time
 integral of C along that flow.
 
-Every step costs one sin/cos pass over the particles, and numpy's float64
-sin/cos runs about twice as fast on phases in ascending order as on
-phases in random order.  :func:`run`, whose particles never leave it,
-therefore re-sorts them by chi at each sample; between samples the drift
-moves each phase only a little, so they stay nearly sorted.  The particles
-are exchangeable, so only the order of the sums giving theta changes.
+Each step needs sin chi and cos chi of every particle, for theta and the
+force.  Rather than a sin/cos pass per step, the drift rotates the pair by
+the angle e = u dt it moves each phase, with cos e and sin e from short
+Taylor polynomials that are exact to rounding for |e| <= ROTATE_MAX.  The
+direct pass runs only at each sample (on the wrapped chi, so rounding in the
+rotation lasts at most one sample interval) and on any step that moves a
+phase further than ROTATE_MAX.  The pair and the scratch arrays of the step
+are allocated once per :func:`run` or :func:`step` call and travel with
+(a, chi, u) as a fourth entry, ``work``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,13 @@ __all__ = [
 THETA_MIN = 0.05  # |theta| below this throughout: no ordering at all
 SLOPE_TOL = 2e-3  # v_cm drift (u-units per 1/kappa) above this: runaway
 
+# the drift rotates (sin chi, cos chi) while no phase moves further than this
+ROTATE_MAX = 1.0 / 16.0
+# Taylor coefficients in e^2 from the highest power: cos e to e^8, sin(e)/e to e^8
+_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(4, -1, -1))
+_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, -1))
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
 
 @dataclass(frozen=True)
 class InitialCondition:
@@ -77,6 +88,26 @@ class InitialCondition:
     random_positions: bool = False
 
 
+def _erfinv(y: float) -> float:
+    """erf^{-1}(y) for |y| < 1, by Newton's method from 0.
+
+    Below |y| = 1/2 it solves erf(x) = |y|; from there on erfc(x) = 1 - |y|,
+    which is exact and keeps the digits that erf loses near 1.  erf is
+    concave and erfc convex for x > 0, so the iterates rise to the root.
+    """
+    t = abs(y)
+    tail = t >= 0.5
+    target = 1.0 - t if tail else t
+    x = 0.0
+    for _ in range(100):
+        miss = math.erfc(x) - target if tail else target - math.erf(x)
+        dx = miss / (_TWO_OVER_SQRT_PI * math.exp(-x * x))
+        if x + dx == x:
+            break
+        x += dx
+    return math.copysign(x, y)
+
+
 def _initial_state(params: SystemParams, init: InitialCondition):
     """(a, chi, u): steady-state modes and the seeded particles."""
     n = params.n_particles
@@ -91,78 +122,108 @@ def _initial_state(params: SystemParams, init: InitialCondition):
         amp = init.eps_init * TWO_PI / n
         chi = grid + rng.uniform(-amp, amp, size=n)
     if init.quiet_velocities and params.u_t > 0:
-        from scipy.special import erfinv
-
         # tile a short quantile ladder along the position grid so every
         # local window carries the full velocity distribution; random
         # pairing would seed theta at the 1/sqrt(N) shot-noise level
         m = min(n, 250)
         q = (np.arange(m) + 0.5) / m
-        ladder = init.mean_u + params.u_t * erfinv(2.0 * q - 1.0)
+        ladder = init.mean_u + params.u_t * np.array([_erfinv(y) for y in 2.0 * q - 1.0])
         u = np.resize(np.tile(ladder, n // m + 1), n)
     else:
         u = sample_maxwellian(params, n, mean_u=init.mean_u, rng=rng)
     return steady_state_fields(params), chi % TWO_PI, u
 
 
-def _phases(chi):
-    """(sin chi, cos chi, theta) from one trig pass over the particles."""
-    sin_chi, cos_chi = np.sin(chi), np.cos(chi)
-    return sin_chi, cos_chi, complex(np.sum(cos_chi), -np.sum(sin_chi)) / chi.size
+def _work(n: int) -> np.ndarray:
+    """The step's arrays: sin chi, cos chi and five scratch rows of n."""
+    return np.empty((7, n))
+
+
+def _theta(sin_chi, cos_chi) -> complex:
+    return complex(np.sum(cos_chi), -np.sum(sin_chi)) / sin_chi.size
+
+
+def _phases(chi, work=None):
+    """(sin chi, cos chi, theta) from one direct trig pass, into work[0] and work[1] if given."""
+    sin_chi = np.sin(chi, out=None if work is None else work[0])
+    cos_chi = np.cos(chi, out=None if work is None else work[1])
+    return sin_chi, cos_chi, _theta(sin_chi, cos_chi)
 
 
 def _kick(state, h, params, hamiltonian=False):
-    """The modes after h at fixed chi, and u kicked meanwhile (in place)."""
-    a, chi, u, (sin_chi, cos_chi, theta) = state
-    a, j = mode_flow(a, theta, params, h, hamiltonian)
-    u += force(sin_chi, cos_chi, j, params)
-    return a, chi, u, state[3]
+    """The modes after h at fixed chi, and u kicked meanwhile (in place).
+
+    theta and the force read the same (sin chi, cos chi), so the kick keeps
+    the momentum invariant whether that pair was rotated or computed.
+    """
+    a, chi, u, work = state
+    sin_chi, cos_chi = work[0], work[1]
+    a, j = mode_flow(a, _theta(sin_chi, cos_chi), params, h, hamiltonian)
+    u += force(sin_chi, cos_chi, j, params, work[2:4])
+    return a, chi, u, work
+
+
+def _horner(x, coeffs, out):
+    """out = the polynomial in x with coefficients from the highest power."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
 
 
 def _drift(state, h):
-    """chi += u h (in place), with the trig pass the next kick and sample use."""
-    a, chi, u, _ = state
-    chi += h * u
-    return a, chi, u, _phases(chi)
+    """chi += e = u h, and (sin chi, cos chi) rotated by e (all in place).
+
+    cos e and sin e come from their Taylor polynomials to e^8 and e^9, within
+    1.1e-16 of np.cos and np.sin for |e| <= ROTATE_MAX; a step moving any
+    phase further gets the direct trig pass instead.
+    """
+    a, chi, u, work = state
+    sin_chi, cos_chi, e, e2, cos_e, sin_e, tmp = work
+    np.multiply(u, h, out=e)
+    chi += e
+    np.multiply(e, e, out=e2)
+    if not e2.max() <= ROTATE_MAX**2:  # also true for a non-finite u
+        _phases(chi, work)
+        return state
+    _horner(e2, _COS_TAYLOR, cos_e)
+    _horner(e2, _SIN_TAYLOR, sin_e)
+    sin_e *= e
+    # sin(chi + e) = sin chi cos e + cos chi sin e, cos(chi + e) = cos chi cos e - sin chi sin e
+    np.multiply(sin_chi, sin_e, out=tmp)
+    sin_chi *= cos_e
+    sin_chi += np.multiply(cos_chi, sin_e, out=e2)
+    cos_chi *= cos_e
+    cos_chi -= tmp
+    return state
 
 
 def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
     """Advance (a, chi, u) by one kick-drift-kick Strang step of size dt > 0.
 
-    One step of :func:`ringcarl.core.split_run` on copies of chi and u.
-    Both parts are exact, so the step is symmetric, second order and keeps
-    the closed-system momentum invariant to rounding; chi is wrapped.
-    Raises IntegrationDivergedError once the modes or velocities stop being
-    finite.
+    One step of :func:`ringcarl.core.split_run` on copies of chi and u, in
+    work arrays of its own.  Both parts are exact, so the step is
+    symmetric, second order and keeps the closed-system momentum invariant
+    to rounding; chi is wrapped.  Raises IntegrationDivergedError once the
+    modes or velocities stop being finite.
     """
-    state = (a, np.array(chi, dtype=float), np.array(u, dtype=float), _phases(chi))
+    chi, u = np.array(chi, dtype=float), np.array(u, dtype=float)
     kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
-    _, [(_, (a, chi, u, _))] = split_run(state, kick, _drift, _sample, dt, dt, dt)
+    _, [(_, (a, chi, u, _))] = split_run((a, chi, u, _work(chi.size)), kick, _drift, _sample,
+                                         dt, dt, dt)
     return a, chi, u
 
 
 def _sample(state):
-    """Check the state and wrap chi (in place); the row (theta, v_cm, kinetic_energy, a)."""
-    a, chi, u, phases = state
+    """Check the state, wrap chi and recompute (sin chi, cos chi) from it
+    (in place); the row (theta, v_cm, kinetic_energy, a)."""
+    a, chi, u, work = state
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
         raise IntegrationDivergedError(float("nan"))
     chi %= TWO_PI
-    return phases[2], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
-
-
-def _sample_sorted(state):
-    """:func:`_sample`, then the particles (chi, u, sin chi, cos chi) sorted by chi.
-
-    The permutation is applied in place to all four arrays, so each
-    particle keeps its own velocity and trig values; sin chi and cos chi
-    stay those of the drifted chi before its wrap.
-    """
-    row = _sample(state)
-    _, chi, u, (sin_chi, cos_chi, _) = state
-    order = np.argsort(chi)
-    for x in (chi, u, sin_chi, cos_chi):
-        x[:] = x[order]
-    return row
+    return _phases(chi, work)[2], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
 def run(
@@ -175,16 +236,15 @@ def run(
     """Integrate from the seeded near-homogeneous initial condition.
 
     The steps of :func:`step`, run by :func:`ringcarl.core.split_run`
-    with the half kicks between steps fused: one trig pass per step, which
-    also gives the sampled theta.  Sampling, and the finiteness check,
-    happen every round(sample_every/dt) steps, including tau = 0.  Each
-    sample also re-sorts the particles by chi, so the trig pass runs on
-    nearly sorted phases, about twice as fast; against repeated
-    :func:`step` only the order of the sums giving theta differs.
+    with the half kicks between steps fused, in one set of work arrays.
+    Sampling, the finiteness check and the direct trig pass happen every
+    round(sample_every/dt) steps, including tau = 0; in between, the drift
+    rotates (sin chi, cos chi).  Against repeated :func:`step` only
+    rounding differs.
     """
     a, chi, u = _initial_state(params, init or InitialCondition())
     kick = functools.partial(_kick, params=params)
-    return split_run((a, chi, u, _phases(chi)), kick, _drift, _sample_sorted,
+    return split_run((a, chi, u, _work(chi.size)), kick, _drift, _sample,
                      t_end, sample_every, dt)[0]
 
 

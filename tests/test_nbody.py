@@ -180,32 +180,68 @@ class TestRunAndClassify:
             np.testing.assert_allclose(series.intensities[i], np.abs(a) ** 2, rtol=1e-12)
             assert series.v_cm[i] == pytest.approx(np.mean(u), rel=1e-12, abs=1e-15)
 
-    def test_run_sorts_particles_at_each_sample(self, monkeypatch):
-        """After every sample inside run, chi is non-decreasing, and each
-        particle's (chi, u, sin chi, cos chi) moved as one: sin and cos are,
-        bit for bit, np.sin and np.cos of the drifted chi under the same
-        permutation as chi and u."""
+    def test_run_resyncs_phases_at_each_sample(self, monkeypatch):
+        """After every sample inside run, sin chi and cos chi are, bit for
+        bit, np.sin and np.cos of the wrapped chi, and the sampled theta is
+        theirs: rounding in the rotation lasts one sample interval at most."""
         p = make_params(n_particles=257)
-        sample, seen = nbody._sample_sorted, []
+        sample, seen = nbody._sample, []
 
         def spy(state):
-            _, chi, u, (sin_chi, cos_chi, _) = state
-            drifted, u_before = chi.copy(), u.copy()
             row = sample(state)
-            seen.append((drifted, u_before, chi.copy(), u.copy(), sin_chi.copy(), cos_chi.copy()))
+            _, chi, _, work = state
+            seen.append((row[0], chi.copy(), work[0].copy(), work[1].copy()))
             return row
 
-        monkeypatch.setattr(nbody, "_sample_sorted", spy)
+        monkeypatch.setattr(nbody, "_sample", spy)
         init = nbody.InitialCondition(random_positions=True)
-        nbody.run(p, init=init, t_end=1.0, sample_every=0.25, dt=0.05)
+        nbody.run(p, init=init, t_end=1.0, sample_every=0.25, dt=0.01)
         assert len(seen) == 5
-        for drifted, u_before, chi, u, sin_chi, cos_chi in seen:
-            assert np.all(np.diff(chi) >= 0)
-            order = np.argsort(drifted % TWO_PI)
-            np.testing.assert_array_equal(chi, (drifted % TWO_PI)[order])
-            np.testing.assert_array_equal(u, u_before[order])
-            np.testing.assert_array_equal(sin_chi, np.sin(drifted)[order])
-            np.testing.assert_array_equal(cos_chi, np.cos(drifted)[order])
+        for theta, chi, sin_chi, cos_chi in seen:
+            assert np.all((chi >= 0) & (chi < TWO_PI))
+            np.testing.assert_array_equal(sin_chi, np.sin(chi))
+            np.testing.assert_array_equal(cos_chi, np.cos(chi))
+            assert theta == nbody._phases(chi)[2]
+
+    def test_rotation_tracks_direct_trig(self, monkeypatch):
+        """Over 10^4 rotated drifts between samples, sin chi and cos chi
+        stay within 1e-12 of np.sin and np.cos of the drifted chi."""
+        p = make_params()
+        sample, errors = nbody._sample, []
+
+        def spy(state):
+            _, chi, u, work = state
+            assert np.max(np.abs(u)) * 1e-3 < nbody.ROTATE_MAX  # no direct pass
+            errors.append(max(np.max(np.abs(work[0] - np.sin(chi))),
+                              np.max(np.abs(work[1] - np.cos(chi)))))
+            return sample(state)
+
+        monkeypatch.setattr(nbody, "_sample", spy)
+        nbody.run(p, t_end=20.0, sample_every=10.0, dt=1e-3)
+        assert len(errors) == 3
+        assert max(errors[1:]) < 1e-12
+        assert max(errors[1:]) > 0.0  # the pair was rotated, not recomputed
+
+    def test_large_steps_take_the_direct_pass(self, monkeypatch):
+        """Where u dt moves phases far past ROTATE_MAX, run matches a run
+        whose every drift is the direct trig pass."""
+        p = make_params(u_t=200.0)
+
+        def direct_drift(state, h):
+            a, chi, u, work = state
+            chi += h * u
+            nbody._phases(chi, work)
+            return state
+
+        def run():
+            return nbody.run(p, t_end=1.0, sample_every=0.1, dt=1e-2)
+
+        series = run()
+        monkeypatch.setattr(nbody, "_drift", direct_drift)
+        ref = run()
+        np.testing.assert_allclose(series.theta, ref.theta, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(series.v_cm, ref.v_cm, rtol=1e-13)
+        np.testing.assert_allclose(series.intensities, ref.intensities, rtol=1e-13)
 
     def test_step_keeps_callers_order(self):
         """step on permuted particles returns the same permutation of its
@@ -237,3 +273,13 @@ class TestRunAndClassify:
         # 1/sqrt(N) shot-noise level random pairing would give
         corr = np.mean(u * np.exp(-1j * chi))
         assert abs(corr) < 1e-6
+
+    def test_quiet_ladder_matches_erfinv(self):
+        """The quiet-start quantiles are within 2 ulp of scipy's erfinv."""
+        from scipy.special import erfinv
+
+        q = (np.arange(250) + 0.5) / 250
+        y = 2.0 * q - 1.0
+        ladder = np.array([nbody._erfinv(v) for v in y])
+        ref = erfinv(y)
+        assert np.all(np.abs(ladder - ref) <= 2 * np.spacing(np.abs(ref)))

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringcarl import stability
 from ringcarl import vlasov as vl
 from ringcarl.core import (
     DomainError,
@@ -48,7 +51,8 @@ class TestGrid:
 # Reference kernels: direct evaluations of trigonometric interpolants.  The
 # chi drift moves the periodic interpolant of each column; the u kick moves
 # the interpolant of each row zero-padded to the smallest odd 3-5-7-smooth
-# length n >= nv + ceil(max |shift|) + 2, then crops it to the nv nodes.
+# length n >= nv + ceil(max |shift|) + 2, its modes damped by the
+# filamentation filter, then crops it to the nv nodes.
 
 
 def _ref_shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
@@ -80,14 +84,19 @@ def _ref_padded_length(f: np.ndarray, shift_cells: np.ndarray) -> int:
 
 
 def _ref_padded_interpolant(f: np.ndarray, shift_cells: np.ndarray, nodes: np.ndarray):
-    """p_i(2 pi (nodes - shift_cells[i]) / n), p_i the interpolant of row i padded to n.
+    """p_i(2 pi (nodes - shift_cells[i]) / n), p_i the filtered interpolant of row i padded to n.
 
-    p(x) = Re (1/n) sum_k c_k e^{i k x} over k = -(n-1)/2 .. (n-1)/2.
+    p(x) = Re (1/n) sum_k s_k c_k e^{i k x} over k = -(n-1)/2 .. (n-1)/2,
+    with s_k = exp(-36 w (2 |k| / (n - 1))^16), w = max_i 4 q_i (1 - q_i)
+    and q_i the fractional part of row i's shift.
     """
     n = _ref_padded_length(f, shift_cells)
+    shifts = np.asarray(shift_cells, dtype=float)
     c = np.fft.fft(f, n=n, axis=1)
     k = np.fft.fftfreq(n, 1.0 / n)
-    x = TWO_PI * (nodes[None, :] - np.asarray(shift_cells, dtype=float)[:, None]) / n
+    q = shifts - np.floor(shifts)
+    c *= np.exp(-36.0 * np.max(4.0 * q * (1.0 - q)) * (2.0 * np.abs(k) / (n - 1)) ** 16)
+    x = TWO_PI * (nodes[None, :] - shifts[:, None]) / n
     terms = c[:, None, :] * np.exp(1j * k[None, None, :] * x[:, :, None])
     return np.sum(terms, axis=2).real / n
 
@@ -342,6 +351,22 @@ class TestRun:
             assert np.max(np.abs(g.f - ref_g.f)) < 1e-12 * np.max(ref_g.f)
             assert g.lost_mass == pytest.approx(ref_g.lost_mass, abs=1e-12)
         assert np.ptp(series.v_cm) > 0.0  # the kick moved the gas
+
+    def test_nonlinear_wave_run_stays_in_domain(self):
+        """The fig2 travelling-wave run past saturation (64 x 128 grid, to
+        tau = 20): no step loses mass through the u boundary, and f
+        undershoots zero by at most 1e-3 of its peak."""
+        n = 10_000
+        base = make_params(0.0, 0.0, n_particles=n, u0=-1.0 / n)
+        s = 2.0 * stability.threshold_sc_a0(base)
+        p = base.with_pump_split(s, 0.3 * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series, snaps = vl.run_vlasov(p, t_end=20.0, dt=1e-2, cosine_eps=0.05,
+                                          nx=64, nv=128, snapshot_every=1.0)
+        assert abs(series.theta[-1]) > 0.1  # the wave formed
+        for _, g in snaps:
+            assert np.min(g.f) >= -1e-3 * np.max(g.f)
 
     @pytest.mark.parametrize("nx, physics", [
         (33, dict(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)),
