@@ -14,7 +14,19 @@ reduces to the plasma dispersion function Z (Faddeeva function):
     K(s) = (2 i / u_t^2) * (1 + zeta Z(zeta)),   zeta = i s / u_t,
 
 which is entire in s, so the Landau continuation onto and past the
-imaginary axis is automatic.
+imaginary axis is automatic.  Only Im zeta >= 0 is needed (Re s >= 0),
+and numpy is the only dependency:
+
+* w(zeta) = Z / (i sqrt(pi)) is Weideman's rational series with N = 40,
+  its coefficients from one FFT at import; the array path is a numpy
+  Horner loop (contour tables, refinement midpoints, the boundary), the
+  scalar path the same loop in Python complex arithmetic.
+* For |zeta| >= 7, 1 + zeta Z comes from its asymptotic series
+  -sum (2n-1)!! / (2 zeta^2)^n instead, so small u_t loses no digits to
+  the cancellation in 1 + zeta Z.
+* A Python complex s (the Newton polish) takes the scalar path in
+  dispersion and dispersion_derivative, which get I(s) and I'(s) from one
+  evaluation of 1 + zeta Z.
 
 Unstable roots are searched on a closed contour: down the imaginary axis
 from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
@@ -40,10 +52,10 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import wofz
 
 from .core import DomainError, SystemParams
 
@@ -95,13 +107,134 @@ class BoundaryCurve:
         return self.omega.size
 
 
-def _plasma_z(zeta: np.ndarray | complex) -> np.ndarray | complex:
-    """Plasma dispersion function Z(zeta) = i sqrt(pi) w(zeta), entire."""
-    return 1j * np.sqrt(np.pi) * wofz(zeta)
+# ---------------------------------------------------------------------------
+# Plasma dispersion function, Im zeta >= 0
+# ---------------------------------------------------------------------------
+
+# w(z) = exp(-z^2) erfc(-i z) by Weideman's rational series (SIAM J. Numer.
+# Anal. 31:1497, 1994), exact in form on the closed upper half-plane:
+#   w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)),
+#   Z = (L + i z) / (L - i z),  L = sqrt(N / sqrt(2)),
+# with p of degree N - 1, its coefficients the Fourier coefficients of
+# exp(-t^2) (L^2 + t^2), t = L tan(phi / 2), taken by one FFT.
+_W_TERMS = 40
+_W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
+_SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / _SQRT_PI
+# |zeta| from which 1 + zeta Z is summed from its asymptotic series
+_ASYMPTOTIC_ZETA = 7.0
+
+
+def _weideman_coefficients(n: int, scale: float) -> np.ndarray:
+    """The n coefficients of Weideman's p, highest power first (Horner)."""
+    m = 2 * n
+    t = scale * np.tan(np.arange(1 - m, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (scale**2 + t * t)])
+    return np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (2 * m)
+
+
+_W_COEFFS = _weideman_coefficients(_W_TERMS, _W_L)
+_W_COEFFS_PY = tuple(float(c) for c in _W_COEFFS)
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) on an array with Im z >= 0."""
+    lz = _W_L - 1j * z
+    zz = (_W_L + 1j * z) / lz
+    p = np.full(zz.shape, _W_COEFFS[0], dtype=complex)
+    for c in _W_COEFFS[1:]:
+        p *= zz
+        p += c
+    return (2.0 * p / lz + _INV_SQRT_PI) / lz
+
+
+def _faddeeva_scalar(z: complex) -> complex:
+    """w(z) for one Python complex with Im z >= 0: _faddeeva's loop unboxed."""
+    lz = _W_L - 1j * z
+    zz = (_W_L + 1j * z) / lz
+    p = 0j
+    for c in _W_COEFFS_PY:
+        p = p * zz + c
+    return (2.0 * p / lz + _INV_SQRT_PI) / lz
+
+
+def _plasma_z(zeta: np.ndarray) -> np.ndarray:
+    """Plasma dispersion function Z(zeta) = i sqrt(pi) w(zeta), Im zeta >= 0."""
+    return 1j * _SQRT_PI * _faddeeva(zeta)
+
+
+def _asymptotic_response(zeta, r: float):
+    """1 + zeta Z and its zeta-derivative for |zeta| >= r >= 7, Im zeta >= 0.
+
+    1 + zeta Z ~ -sum_{n>=1} t_n, t_n = (2n-1)!! / (2 zeta^2)^n (Fried &
+    Conte 1961), with no exponential term in the upper half-plane; term by
+    term, d/dzeta (1 + zeta Z) ~ (2 / zeta) sum n t_n.  |t_n / t_1| is at
+    most the same ratio at |zeta| = r, and the sum stops once that is below
+    rounding, or where the terms would stop falling.  zeta is a Python
+    complex or an array.
+    """
+    x = 0.5 / (zeta * zeta)
+    x_r = 0.5 / (r * r)
+    term = -x
+    g, dg = term, term
+    n, ratio = 1, 1.0
+    while ratio > 1e-17 and (2 * n + 1) * x_r < 1.0:
+        ratio *= (2 * n + 1) * x_r
+        term = term * ((2 * n + 1) * x)
+        n += 1
+        g = g + term
+        dg = dg + n * term
+    return g, -2.0 * dg / zeta
+
+
+def _response(zeta: np.ndarray):
+    """1 + zeta Z(zeta) and its zeta-derivative on an array, Im zeta >= 0."""
+    shape = np.shape(zeta)
+    zeta = np.reshape(zeta, -1)
+    z = _plasma_z(zeta)
+    g = 1.0 + zeta * z
+    dg = z - 2.0 * zeta * g  # Z' = -2 (1 + zeta Z)
+    big = np.abs(zeta) >= _ASYMPTOTIC_ZETA
+    if big.any():
+        zb = zeta[big]
+        g[big], dg[big] = _asymptotic_response(zb, float(np.abs(zb).min()))
+    return g.reshape(shape), dg.reshape(shape)
+
+
+def _response_scalar(zeta: complex) -> tuple[complex, complex]:
+    """_response for one Python complex, in Python arithmetic."""
+    r = abs(zeta)
+    if r >= _ASYMPTOTIC_ZETA:
+        return _asymptotic_response(zeta, r)
+    z = 1j * _SQRT_PI * _faddeeva_scalar(zeta)
+    g = 1.0 + zeta * z
+    return g, z - 2.0 * zeta * g
 
 
 def _landau_prefactor(params: SystemParams) -> float:
     return params.n_particles * params.u0**2 * params.rho_r / (1.0 + params.delta**2)
+
+
+def _landau_pair(s, params: SystemParams):
+    """(s, I(s), I'(s)): s as an array, or kept a Python complex for u_t > 0.
+
+    I(s) = pref (2i / u_t^2) (1 + zeta Z), zeta = i s / u_t, so both come
+    from one evaluation of 1 + zeta Z; the cold gas gives pref i / s^2.
+    """
+    if isinstance(s, complex) and params.u_t > 0.0:
+        if s.real < -1e-15:
+            raise DomainError("landau_integral requires Re(s) >= 0")
+        g, dg = _response_scalar(1j * s / params.u_t)
+    else:
+        s = np.asarray(s, dtype=complex)
+        if np.any(s.real < -1e-15):
+            raise DomainError("landau_integral requires Re(s) >= 0")
+        if params.u_t == 0.0:
+            pref = _landau_prefactor(params)
+            return s, pref * 1j / s**2, pref * (-2j) / s**3
+        g, dg = _response(1j * s / params.u_t)
+    k = 2j * _landau_prefactor(params) / params.u_t**2
+    return s, k * g, k * dg * (1j / params.u_t)
 
 
 def landau_integral(s, params: SystemParams):
@@ -110,28 +243,7 @@ def landau_integral(s, params: SystemParams):
     Vectorized over s.  For u_t = 0 the cold-gas limit i/s^2 (times the
     prefactor) is returned.
     """
-    s = np.asarray(s, dtype=complex)
-    if np.any(s.real < -1e-15):
-        raise DomainError("landau_integral requires Re(s) >= 0")
-    pref = _landau_prefactor(params)
-    if params.u_t == 0.0:
-        return pref * 1j / s**2
-    zeta = 1j * s / params.u_t
-    k = (2j / params.u_t**2) * (1.0 + zeta * _plasma_z(zeta))
-    return pref * k
-
-
-def _landau_kernel_derivative(s, params: SystemParams):
-    """d/ds of landau_integral (analytic, for Newton polishing)."""
-    s = np.asarray(s, dtype=complex)
-    pref = _landau_prefactor(params)
-    if params.u_t == 0.0:
-        return pref * (-2j) / s**3
-    zeta = 1j * s / params.u_t
-    z = _plasma_z(zeta)
-    # d/dzeta [zeta Z] = Z + zeta Z',  Z' = -2 (1 + zeta Z)
-    dk_dzeta = (2j / params.u_t**2) * (z - 2.0 * zeta * (1.0 + zeta * z))
-    return pref * dk_dzeta * (1j / params.u_t)
+    return _landau_pair(np.asarray(s, dtype=complex), params)[1]
 
 
 def _dispersion_terms(s, i_s, point: PumpPoint, delta: float):
@@ -141,19 +253,24 @@ def _dispersion_terms(s, i_s, point: PumpPoint, delta: float):
 
 
 def dispersion(s, point: PumpPoint, params: SystemParams):
-    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s)."""
-    s = np.asarray(s, dtype=complex)
-    free, pumped = _dispersion_terms(s, landau_integral(s, params), point, params.delta)
+    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s).
+
+    A Python complex s (the Newton polish) is evaluated in Python
+    arithmetic when u_t > 0; anything else as an array.
+    """
+    s, i_s, _ = _landau_pair(s, params)
+    free, pumped = _dispersion_terms(s, i_s, point, params.delta)
     return free + pumped
 
 
 def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
-    s = np.asarray(s, dtype=complex)
+    """D'(s), with I(s) and I'(s) from one evaluation of 1 + zeta Z."""
+    s, i_s, di_s = _landau_pair(s, params)
+    s1 = s + 1.0
     return (
-        2.0 * (s + 1.0)
-        + point.a_asym * landau_integral(s, params)
-        + ((s + 1.0) * point.a_asym - 1j * params.delta * point.s_total)
-        * _landau_kernel_derivative(s, params)
+        2.0 * s1
+        + point.a_asym * i_s
+        + (s1 * point.a_asym - 1j * params.delta * point.s_total) * di_s
     )
 
 

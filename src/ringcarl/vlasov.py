@@ -21,6 +21,12 @@ The u kick also damps the grid-scale u modes (a filamentation filter) as
 far as it interpolates, which keeps nonlinear runs from ringing.  Neither
 shift has a limiter, so f may undershoot zero slightly; diagnostics clamp
 at zero, the solver does not.
+
+The solver uses no spline prefilter.  The module still resolves the name
+``spline_filter1d`` through a module-level ``__getattr__``, which imports
+``scipy.ndimage`` only when something asks for that name (nothing in the
+package does), because the benchmark's tracer wraps it as the
+``vlasov.prefilter.*`` metrics.  It goes once the benchmark retires those.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import spline_filter1d  # noqa: F401 -- unused; perfbench/spans.py traces the name
 
 from .core import (
     TWO_PI,
@@ -59,6 +64,19 @@ OVERFLOW_FAIL = 1e-3
 # filamentation filter of the u kick (see shift_clamped_u)
 FILTER_STRENGTH = 36.0
 FILTER_ORDER = 16
+
+
+def __getattr__(name):
+    # only for the benchmark's vlasov.prefilter.* span (a true 0); without
+    # scipy the name is absent, which the tracer skips.  Delete with that
+    # metric (ROADMAP item 7).
+    if name == "spline_filter1d":
+        try:
+            from scipy.ndimage import spline_filter1d
+        except ImportError as exc:
+            raise AttributeError(name) from exc
+        return spline_filter1d
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

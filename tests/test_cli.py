@@ -342,13 +342,31 @@ class TestMain:
         assert "fig2" in capsys.readouterr().out
 
 
-def test_import_leaves_out_scipy_integrate():
-    """scipy.integrate serves only the test oracles; a run never imports it."""
+def test_runs_never_import_scipy(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter that parses
+    configs and runs the N-body, Vlasov, phase-diagram and boundary modes
+    never imports scipy."""
+    tails = {
+        "nbody": "",
+        "vlasov": "\n[vlasov]\nnx = 16\nnv = 32\n",
+        "phase-diagram": "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0, 0.8\n",
+        "stability-boundary": "\n[boundary]\nn_omega = 50\n",
+    }
+    texts = {m: MINIMAL.replace("mode = nbody", f"mode = {m}") + t for m, t in tails.items()}
+    code = (
+        "import json, sys\n"
+        "from ringcarl import cli, config\n"
+        "for mode, text in json.loads(sys.argv[1]).items():\n"
+        "    cli.run_experiment(config.parse_config(text), sys.argv[2] + '/' + mode)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))\n"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, ringcarl.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(texts), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == []
+    assert (tmp_path / "phase-diagram/phase_diagram.csv").exists()
+    assert (tmp_path / "stability-boundary/boundary_ut3.csv").exists()
 
 
 class TestFloatFormat:

@@ -71,6 +71,87 @@ class TestLandauIntegral:
             st.landau_integral(-0.1 + 0j, p)
 
 
+class TestFaddeeva:
+    """w(z) from Weideman's series and 1 + zeta Z from its asymptotic branch."""
+
+    @staticmethod
+    def _upper_half_plane(n, seed):
+        """n points with Im z >= 0 and |z| in [1e-3, 1e3], a tenth on the real axis."""
+        rng = np.random.default_rng(seed)
+        r = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        z = r * np.exp(1j * rng.uniform(0.0, np.pi, n))
+        z[: n // 10] = r[: n // 10] * (1 - 2 * (np.arange(n // 10) % 2))
+        return z
+
+    def test_array_path_matches_wofz(self):
+        from scipy.special import wofz
+
+        z = self._upper_half_plane(140_000, 5)
+        ref = wofz(z)
+        assert np.max(np.abs(st._faddeeva(z) - ref) / np.abs(ref)) <= 2e-14
+
+    def test_scalar_path_matches_array_path(self):
+        z = self._upper_half_plane(5_000, 6)
+        scalar = np.array([st._faddeeva_scalar(complex(v)) for v in z])
+        array = st._faddeeva(z)
+        assert np.max(np.abs(scalar - array) / np.abs(array)) <= 1e-15
+
+    # 1 + zeta Z(zeta) at zeta = i s / u_t, s = 1.31 - 0.29i, to 40 digits:
+    #   mp.dps = 60; zeta = 1j * mpc("1.31", "-0.29") / mpf(u_t)
+    #   1 + zeta * 1j * sqrt(pi) * exp(-zeta**2) * erfc(-1j * zeta)
+    @pytest.mark.parametrize("u_t, ref", [
+        (1e-3, 2.517957451232269677051290844578867521505e-7
+         + 1.172268574169845757847626664011591254709e-7j),
+        (1e-2, 2.517809972393576202039348820368786496692e-5
+         + 1.172093272510986621764061704329493618090e-5j),
+        (3.0, 0.4908460282564086392784471595268820198616
+         + 0.06887073478326572597372047465366148052692j),
+    ])
+    def test_response_matches_40_digit_values(self, u_t, ref):
+        zeta = 1j * (1.31 - 0.29j) / u_t
+        array = complex(st._response(np.array(zeta))[0])
+        scalar = st._response_scalar(zeta)[0]
+        assert abs(array - ref) <= 1e-13 * abs(ref)
+        assert abs(scalar - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("u_t", [1e-3, 0.5, 3.0, 30.0])
+    def test_scalar_dispersion_matches_array(self, u_t):
+        p = make_params(u_t=u_t)
+        point = st.PumpPoint(20.0 / _prefactor(p), 6.0 / _prefactor(p))
+        for s in (0.02 + 0.3j, 1.31 - 0.29j, 5.0 + 0j, 40.0 - 20.0j, 0.9j):
+            for fun in (st.dispersion, st.dispersion_derivative):
+                scalar = fun(s, point, p)
+                array = complex(fun(np.array(s), point, p))
+                assert type(scalar) is complex
+                assert abs(scalar - array) <= 1e-13 * max(abs(array), 1.0)
+
+    @pytest.mark.parametrize("u_t", [1e-3, 0.5, 3.0, 30.0])
+    def test_derivative_matches_difference_quotient(self, u_t):
+        p = make_params(u_t=u_t)
+        point = st.PumpPoint(20.0 / _prefactor(p), 6.0 / _prefactor(p))
+        for s in (0.02 + 0.3j, 1.31 - 0.29j, 5.0 + 0j, 40.0 - 20.0j):
+            h = 1e-5 * abs(s)
+            quotient = (st.dispersion(s + h, point, p) - st.dispersion(s - h, point, p)) / (2 * h)
+            assert st.dispersion_derivative(s, point, p) == pytest.approx(quotient, rel=1e-6)
+
+    def test_scalar_path_rejects_left_half_plane(self):
+        p = make_params()
+        point = st.PumpPoint(1.0, 0.0)
+        for fun in (st.dispersion, st.dispersion_derivative):
+            with pytest.raises(DomainError):
+                fun(-0.1 + 0j, point, p)
+
+    def test_small_temperature_root_solves_dispersion_to_rounding(self):
+        """At u_t = 1e-3 (|zeta| ~ 1300) the asymptotic branch keeps every digit
+        of D: the polished root solves it to rounding, not to ~3e-9."""
+        p = make_params(u_t=1e-3)
+        s_tot = 10.0 / _prefactor(p)
+        point = st.PumpPoint(s_tot, 0.3 * s_tot)
+        root = st.max_growth_rate(point, p)
+        assert abs(root - (1.31 - 0.29j)) < 0.01
+        assert abs(st.dispersion(root, point, p)) < 1e-12
+
+
 class TestRoots:
     def test_no_pump_no_roots(self):
         p = make_params()
