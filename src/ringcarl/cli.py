@@ -205,22 +205,53 @@ def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(args):
-    """One pure cell; returns a phase-diagram CSV row (list of str)."""
-    s, a, params, dynamic, t_end, dt, sample_every = args
+def _dynamic_label(args) -> str:
+    """N-body label of one cell, or ``error:<Type>`` if its run fails."""
+    params, t_end, dt, sample_every = args
     try:
-        point = stability.PumpPoint(s, a)
-        res = stability.classify_regime(point, params)
-        regime = res.regime
-        growth = res.growth if res.growth is not None else 0.0j
-        if dynamic:
-            p_run = params.with_pump_split(s, a)
-            series = nbody.run(p_run, t_end=t_end, dt=dt, sample_every=sample_every)
-            label = nbody.classify_run(series)
-            regime = f"{regime}/{label}"
+        series = nbody.run(params, t_end=t_end, dt=dt, sample_every=sample_every)
+        return nbody.classify_run(series)
     except (DomainError, IntegrationDivergedError, RuntimeError) as exc:
-        return [_fmt(s), _fmt(a), f"error:{type(exc).__name__}", _fmt(0.0), _fmt(0.0)]
-    return [_fmt(s), _fmt(a), regime, _fmt(growth.real), _fmt(growth.imag)]
+        return f"error:{type(exc).__name__}"
+
+
+def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
+    """Phase-diagram CSV rows (lists of str) of the cells (S, A), in order.
+
+    All cells are classified in this process by one batch, whose root
+    search adds its counts to ``stats``.  A dynamic sweep then runs the
+    N-body simulation of each classified cell, on ``threads`` worker
+    processes when that is above 1.  A cell that raises gets an error row.
+    """
+    outcome = []
+    for s, a in cells:
+        try:
+            outcome.append(stability.PumpPoint(s, a))
+        except DomainError as exc:
+            outcome.append(exc)
+    results = iter(stability.classify_regimes(
+        [p for p in outcome if not isinstance(p, Exception)], cfg.params, stats))
+    outcome = [p if isinstance(p, Exception) else next(results) for p in outcome]
+    labels = {}
+    if cfg.options["sweep"]["dynamic"]:
+        todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
+        runs = [(cfg.params.with_pump_split(*cells[i]), cfg.t_end, cfg.dt, cfg.sample_every)
+                for i in todo]
+        if threads > 1 and runs:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+                labels = dict(zip(todo, pool.map(_dynamic_label, runs)))
+        else:
+            labels = dict(zip(todo, map(_dynamic_label, runs)))
+    rows = []
+    for i, ((s, a), res) in enumerate(zip(cells, outcome)):
+        label = f"error:{type(res).__name__}" if isinstance(res, Exception) else labels.get(i)
+        if label is not None and label.startswith("error:"):
+            rows.append([_fmt(s), _fmt(a), label, _fmt(0.0), _fmt(0.0)])
+            continue
+        regime = res.regime if label is None else f"{res.regime}/{label}"
+        growth = res.growth if res.growth is not None else 0.0j
+        rows.append([_fmt(s), _fmt(a), regime, _fmt(growth.real), _fmt(growth.imag)])
+    return rows
 
 
 def _without_grid(snapshot: dict) -> dict:
@@ -269,19 +300,10 @@ def _mode_phase_diagram(
     ]
     path = outdir / "phase_diagram.csv"
     done = _existing_cells(path, outdir / "manifest.json", cfg.snapshot)
-    todo = [
-        (s, a, cfg.params, sw["dynamic"], cfg.t_end, cfg.dt, cfg.sample_every)
-        for (s, a) in cells
-        if (_fmt(s), _fmt(a)) not in done
-    ]
-    rows = []
+    todo = [(s, a) for (s, a) in cells if (_fmt(s), _fmt(a)) not in done]
+    stats = stability.SearchStats()
     with _stage(manifest, "sweep"):
-        if todo:
-            if threads > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                    rows = list(pool.map(_sweep_cell, todo))
-            else:
-                rows = [_sweep_cell(t) for t in todo]
+        rows = _sweep_rows(todo, cfg, threads, stats)
     fresh = not path.exists() or not done
     with _stage(manifest, "write"):
         with open(path, "w" if fresh else "a", newline="") as fh:
@@ -294,6 +316,9 @@ def _mode_phase_diagram(
     manifest.results["n_computed"] = len(rows)
     manifest.results["n_resumed"] = len(cells) - len(todo)
     manifest.results["n_errors"] = sum(row[2].startswith("error:") for row in rows)
+    manifest.results["n_refined"] = stats.refined
+    manifest.results["n_roots_polished"] = stats.polished
+    manifest.results["max_newton_iterations"] = stats.max_newton_iterations
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: $RINGCARL_OUT/<mode> or ./runs/<mode>)")
         sp.add_argument("--seed", type=int, help="override run.seed")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps")
+                        help="worker processes for the N-body runs of a dynamic sweep")
         sp.add_argument("--svg", action="store_true", help="also emit SVG plots")
     lp = sub.add_parser("presets", help="list bundled presets")
     lp.set_defaults(list_presets=True)

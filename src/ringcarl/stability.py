@@ -19,14 +19,16 @@ and numpy is the only dependency:
 
 * w(zeta) = Z / (i sqrt(pi)) is Weideman's rational series with N = 40,
   its coefficients from one FFT at import; the array path is a numpy
-  Horner loop (contour tables, refinement midpoints, the boundary), the
-  scalar path the same loop in Python complex arithmetic.
+  Horner loop (contour tables, refinement midpoints, the Newton polish,
+  the boundary), the scalar path the same loop in Python complex
+  arithmetic.  Each element of the array path is a function of that
+  element alone, whatever the array's length.
 * For |zeta| >= 7, 1 + zeta Z comes from its asymptotic series
   -sum (2n-1)!! / (2 zeta^2)^n instead, so small u_t loses no digits to
   the cancellation in 1 + zeta Z.
-* A Python complex s (the Newton polish) takes the scalar path in
-  dispersion and dispersion_derivative, which get I(s) and I'(s) from one
-  evaluation of 1 + zeta Z.
+* A Python complex s takes the scalar path in dispersion and
+  dispersion_derivative.  D and D' get I(s) and I'(s) from one evaluation
+  of 1 + zeta Z.
 
 Unstable roots are searched on a closed contour: down the imaginary axis
 from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
@@ -37,7 +39,11 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
   power of two R beyond which D has no zero in Re s >= 0 (Rouche).
 * Cached table.  I(s) on the contour samples depends only on the
   pump-free physics and R, so it is computed once and reused by every
-  cell; D is affine in (S, A) and costs array arithmetic per cell.
+  cell.  D is affine in (S, A), so the cells of one R are counted in
+  chunks of 32: a few array passes over a (cells x 601) block give D, the
+  zero-level check, the phase increments, the winding count and, for a
+  count of one, the first contour moment.  The cost is per chunk, not per
+  cell.
 * Count and location.  The winding of D on the samples (refined where a
   phase step reaches pi/2) counts the unstable zeros; a point where |D| is
   at the rounding level of its terms, 1e-12 |delta^2 + (s+1)^2|, moves the
@@ -45,13 +51,20 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
   summed from the increments of log D along the refined contour, locate
   every zero inside at once (Delves-Lyness): Newton's identities turn them
   into a polynomial whose roots start a Newton polish each, and the
-  distinct roots must match the count.  There is no bisection.  The cold
-  gas (u_t = 0) is solved as a quartic instead.
+  distinct roots must match the count.  A cell that needs refinement or an
+  axis shift, or holds two or more zeros, takes this path on its own.
+  There is no bisection.  The cold gas (u_t = 0) is solved as a quartic
+  instead.
+* Batches.  classify_regimes polishes every Newton start of a batch in one
+  array Newton.  classify_regime, max_growth_rate and count_unstable_roots
+  are batches of one, and a cell's result does not depend on the rest of
+  its batch.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,6 +85,8 @@ __all__ = [
     "carl_bound",
     "s_bgk",
     "classify_regime",
+    "classify_regimes",
+    "SearchStats",
     "count_unstable_roots",
     "WARM_GAS_UT",
 ]
@@ -87,7 +102,7 @@ class PumpPoint:
     a_asym: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.s_total) and np.isfinite(self.a_asym)):
+        if not (math.isfinite(self.s_total) and math.isfinite(self.a_asym)):
             raise DomainError(f"S and A must be finite, got {self.s_total}, {self.a_asym}")
         if self.s_total < 0:
             raise DomainError(f"S must be >= 0, got {self.s_total}")
@@ -143,8 +158,9 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     zz = (_W_L + 1j * z) / lz
     p = np.full(zz.shape, _W_COEFFS[0], dtype=complex)
     for c in _W_COEFFS[1:]:
-        p *= zz
-        p += c
+        # out of place: numpy rounds an in-place p *= zz on a length-1 array
+        # differently, and each element must not depend on the array's length
+        p = p * zz + c
     return (2.0 * p / lz + _INV_SQRT_PI) / lz
 
 
@@ -195,9 +211,8 @@ def _response(zeta: np.ndarray):
     g = 1.0 + zeta * z
     dg = z - 2.0 * zeta * g  # Z' = -2 (1 + zeta Z)
     big = np.abs(zeta) >= _ASYMPTOTIC_ZETA
-    if big.any():
-        zb = zeta[big]
-        g[big], dg[big] = _asymptotic_response(zb, float(np.abs(zb).min()))
+    if big.any():  # the terms the series takes at |zeta| = 7 serve every element
+        g[big], dg[big] = _asymptotic_response(zeta[big], _ASYMPTOTIC_ZETA)
     return g.reshape(shape), dg.reshape(shape)
 
 
@@ -246,32 +261,37 @@ def landau_integral(s, params: SystemParams):
     return _landau_pair(np.asarray(s, dtype=complex), params)[1]
 
 
-def _dispersion_terms(s, i_s, point: PumpPoint, delta: float):
-    """The two terms of D(s), delta^2 + (s+1)^2 and [(s+1) A - i delta S] I(s)."""
+def _dispersion_terms(s, i_s, a_asym, s_total, delta: float):
+    """The two terms of D(s), delta^2 + (s+1)^2 and [(s+1) A - i delta S] I(s).
+
+    A and S are numbers, or arrays that broadcast against s (one per cell).
+    """
     s1 = s + 1.0
-    return delta**2 + s1**2, (s1 * point.a_asym - 1j * delta * point.s_total) * i_s
+    return delta**2 + s1**2, (s1 * a_asym - 1j * delta * s_total) * i_s
+
+
+def _dispersion_pair(s, a_asym, s_total, params: SystemParams):
+    """D(s) and D'(s), with I(s) and I'(s) from one evaluation of 1 + zeta Z."""
+    s, i_s, di_s = _landau_pair(s, params)
+    s1 = s + 1.0
+    coupling = s1 * a_asym - 1j * params.delta * s_total
+    return params.delta**2 + s1**2 + coupling * i_s, 2.0 * s1 + a_asym * i_s + coupling * di_s
 
 
 def dispersion(s, point: PumpPoint, params: SystemParams):
     """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s).
 
-    A Python complex s (the Newton polish) is evaluated in Python
-    arithmetic when u_t > 0; anything else as an array.
+    A Python complex s is evaluated in Python arithmetic when u_t > 0;
+    anything else as an array.
     """
     s, i_s, _ = _landau_pair(s, params)
-    free, pumped = _dispersion_terms(s, i_s, point, params.delta)
+    free, pumped = _dispersion_terms(s, i_s, point.a_asym, point.s_total, params.delta)
     return free + pumped
 
 
 def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
     """D'(s), with I(s) and I'(s) from one evaluation of 1 + zeta Z."""
-    s, i_s, di_s = _landau_pair(s, params)
-    s1 = s + 1.0
-    return (
-        2.0 * s1
-        + point.a_asym * i_s
-        + (s1 * point.a_asym - 1j * params.delta * point.s_total) * di_s
-    )
+    return _dispersion_pair(s, point.a_asym, point.s_total, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +310,7 @@ _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
 _ZERO_LEVEL = 1e-12  # |D| below this times |delta^2 + (s+1)^2| is a zero
+_CHUNK = 32  # cells per array pass of the contour count
 
 
 def _dispersion_with_level(s, i_s, point: PumpPoint, delta: float):
@@ -298,12 +319,12 @@ def _dispersion_with_level(s, i_s, point: PumpPoint, delta: float):
     |D| at or below that level is D = 0 up to rounding: the pumped term
     then cancels the free one, so both have the size of the free one.
     """
-    free, pumped = _dispersion_terms(s, i_s, point, delta)
+    free, pumped = _dispersion_terms(s, i_s, point.a_asym, point.s_total, delta)
     return free + pumped, _ZERO_LEVEL * np.abs(free)
 
 
-def _search_radius(point: PumpPoint, params: SystemParams) -> float:
-    """Power of two R with no zero of D in Re s >= 0, |s| >= R (Rouche).
+def _search_radii(points, params: SystemParams) -> list[float]:
+    """Power of two R per cell with no zero of D in Re s >= 0, |s| >= R (Rouche).
 
     In Re s >= 0, |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 and
     |I(s)| <= _G_SUP * pref / |s|^2, so D != 0 wherever
@@ -313,12 +334,14 @@ def _search_radius(point: PumpPoint, params: SystemParams) -> float:
     """
     bound = _G_SUP * _landau_prefactor(params)
     d2 = params.delta**2
-    a, s_tot = abs(point.a_asym), point.s_total
-    r = 1.0
-    while not (r * r > d2 and bound * (a * (r + 1.0) + abs(params.delta) * s_tot)
-               < r * r * (r * r + 1.0 - d2)):
-        r *= 2.0
-    return r
+    a = np.abs([p.a_asym for p in points])
+    load = abs(params.delta) * np.array([p.s_total for p in points], dtype=float)
+    r = np.ones(a.shape)
+    while True:
+        short = ~((r * r > d2) & (bound * (a * (r + 1.0) + load) < r * r * (r * r + 1.0 - d2)))
+        if not short.any():
+            return r.tolist()
+        r[short] *= 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,34 +393,47 @@ def _refined_contour(fun, pts, vals, levels, max_depth: int = 24):
     raise RuntimeError("contour too close to a zero of D")
 
 
-def _newton_polish(fun, dfun, s0, radius, tol=1e-12, max_iter=60):
-    """Newton root in the open half-disc Re s > 0, |s| < radius, or None.
+def _newton_polish(s0, a_asym, s_total, radius, params: SystemParams,
+                   tol=1e-12, max_iter=60):
+    """Newton roots from the starts s0, each in the open half-disc Re s > 0,
+    |s| < radius of its cell; every argument but params is an array.
 
-    An iterate that lands at Re s < 0 is moved onto the imaginary axis,
-    where I(s) is still defined.  The polish fails when an iterate leaves
-    the disc, where no unstable zero lies, when it does not converge within
-    max_iter steps, or when it converges outside the open half-disc.  It
-    has converged when a step is below tol, or below sqrt(tol) and no
-    shorter than the one before (the steps then follow the rounding noise
-    of D, e.g. for u_t << |s|).
+    Each start is polished on its own, all of them in one array pass per
+    step.  An iterate that lands at Re s < 0 is moved onto the imaginary
+    axis, where I(s) is still defined.  A polish fails when an iterate
+    leaves the disc, where no unstable zero lies, when D' = 0 there, when it
+    does not converge within max_iter steps, or when it converges outside
+    the open half-disc.  It has converged when a step is below tol, or below
+    sqrt(tol) and no shorter than the one before (the steps then follow the
+    rounding noise of D, e.g. for u_t << |s|).  Returns the roots, NaN where
+    the polish failed, and the number of steps each took.
     """
-    s = complex(s0)
-    prev = np.inf
-    for _ in range(max_iter):
-        if s.real < 0.0:
-            s = complex(0.0, s.imag)
-        if abs(s) >= radius:
-            return None
-        df = complex(dfun(s))
-        if df == 0:
-            return None
-        step = complex(fun(s)) / df
-        s -= step
-        scale = max(1.0, abs(s))
-        if abs(step) < tol * scale or prev <= abs(step) < np.sqrt(tol) * scale:
-            return s if s.real > 0.0 and abs(s) < radius else None
-        prev = abs(step)
-    return None
+    s = np.array(s0, dtype=complex)
+    roots = np.full(s.shape, complex(np.nan, np.nan))
+    steps = np.zeros(s.shape, dtype=int)
+    prev = np.full(s.shape, np.inf)
+    live = np.arange(s.size)
+    for k in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        z = s[live]
+        z.real[z.real < 0.0] = 0.0
+        keep = np.abs(z) < radius[live]
+        live, z = live[keep], z[keep]
+        f, df = _dispersion_pair(z, a_asym[live], s_total[live], params)
+        keep = df != 0
+        live, z = live[keep], z[keep]
+        step = f[keep] / df[keep]
+        z = z - step
+        size = np.abs(step)
+        scale = np.maximum(1.0, np.abs(z))
+        done = (size < tol * scale) | ((prev[live] <= size) & (size < np.sqrt(tol) * scale))
+        good = done & (z.real > 0.0) & (np.abs(z) < radius[live])
+        roots[live[good]] = z[good]
+        steps[live[good]] = k
+        s[live], prev[live] = z, size
+        live = live[~done]
+    return roots, steps
 
 
 def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
@@ -418,7 +454,7 @@ def _cold_roots(point: PumpPoint, params: SystemParams) -> np.ndarray:
 
 
 def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
-    """Zeros of D inside the cached half-disc contour.
+    """Zeros of D inside the cached half-disc contour, one cell.
 
     Returns (count, polygon, D on polygon, phase increments of D) on the
     first axis offset whose winding is unambiguous, where the polygon is
@@ -441,47 +477,146 @@ def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     raise RuntimeError("argument-principle count failed repeatedly")
 
 
-def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
-    """Distinct zeros of D in the open right half-plane, warm gas.
+def _cell_starts(point: PumpPoint, params: SystemParams, radius: float):
+    """Winding count and Newton starts of one cell on its refined contour.
 
     The power sums p_k = (1/2 pi i) oint s^k d(log D), k = 1..count, are the
     sums of the k-th powers of the zeros inside the contour (Delves-Lyness).
     They are summed along the refined polygon of the count, on whose
     segments log D stays on one branch, so a zero of D close to the contour
     is resolved.  Newton's identities turn them into the monic polynomial
-    whose roots are those zeros; each root starts a Newton polish, and the
-    number of distinct polished roots must equal the winding count.
+    whose roots are those zeros.
     """
-    radius = _search_radius(point, params)
     count, poly, d_poly, dphi = _contour_count(point, params, radius)
-    if count == 0:
-        return []
     dlog = np.diff(np.log(np.abs(d_poly))) + 1j * dphi
     sums, w = [], poly
     for _ in range(count):
         sums.append(np.sum((w[1:] + w[:-1]) * dlog) / (4j * np.pi))
         w = poly * w
-    if count == 1:
-        starts = sums  # np.roots would turn a zero imaginary part into -0.0
-    else:
-        coeffs = [1.0]
-        for k in range(1, count + 1):
-            coeffs.append(-sum(c * p for c, p in zip(coeffs, sums[k - 1::-1])) / k)
-        starts = np.roots(coeffs)
-    roots = []
-    for start in starts:
-        r = _newton_polish(
-            lambda z: dispersion(z, point, params),
-            lambda z: dispersion_derivative(z, point, params),
-            start, radius,
-        )
-        if r is not None and all(abs(r - q) > 1e-9 * max(1.0, abs(q)) for q in roots):
-            roots.append(r)
-    if len(roots) != count:
-        raise RuntimeError(
-            f"found {len(roots)} distinct unstable roots for a winding count of {count}"
-        )
-    return roots
+    if count <= 1:
+        return count, sums  # np.roots would turn a zero imaginary part into -0.0
+    coeffs = [1.0]
+    for k in range(1, count + 1):
+        coeffs.append(-sum(c * p for c, p in zip(coeffs, sums[k - 1::-1])) / k)
+    return count, list(np.roots(coeffs))
+
+
+def _chunk_starts(points, params: SystemParams, radius: float) -> list:
+    """_cell_starts for cells of one search radius, in array passes.
+
+    On a (cells x contour) block at axis offset 0, in real arithmetic: D =
+    free + A (s+1) I - i delta S I, the zero-level check, the phase
+    increments and winding count, and p_1 for a count of 1.  A cell whose
+    contour hits the zero level, needs refinement, or whose count is not 0
+    or 1, goes through _cell_starts.  Each row depends on its cell alone.
+    Returns per cell (count, starts, took _cell_starts) or the RuntimeError
+    of a failed count.
+    """
+    s, i_s = _contour_table(replace(params, eta_plus=0j, eta_minus=0j, seed=0), radius, 0.0)
+    s1 = s + 1.0
+    free = params.delta**2 + s1**2
+    u, v = s1 * i_s, -1j * params.delta * i_s  # D = free + A u + S v
+    a = np.array([[p.a_asym] for p in points])
+    s_tot = np.array([[p.s_total] for p in points])
+    d_re = free.real + a * u.real + s_tot * v.real
+    d_im = free.imag + a * u.imag + s_tot * v.imag
+    mag2 = d_re * d_re + d_im * d_im
+    clear = (mag2 > (_ZERO_LEVEL * np.abs(free)) ** 2).all(axis=1)
+    # phase of D[j+1] / D[j] from D[j+1] conj(D[j])
+    dphi = np.arctan2(d_im[:, 1:] * d_re[:, :-1] - d_re[:, 1:] * d_im[:, :-1],
+                      d_re[:, 1:] * d_re[:, :-1] + d_im[:, 1:] * d_im[:, :-1])
+    count = np.rint(dphi.sum(axis=1) / (2.0 * np.pi))
+    simple = clear & (np.abs(dphi) < np.pi / 2).all(axis=1)
+    one = simple & (count == 1)
+    # p_1 = (1 / 4 pi i) sum w_j (dlog|D| + i dphi)_j, w_j = s_j + s_j+1, with
+    # dlog|D| = d(log |D|^2) / 2
+    w = s[1:] + s[:-1]
+    dl2, ph = np.diff(np.log(mag2[one]), axis=1), dphi[one]
+    p1_re = (0.5 * w.imag * dl2 + w.real * ph).sum(axis=1) / (4.0 * np.pi)
+    p1_im = (w.imag * ph - 0.5 * w.real * dl2).sum(axis=1) / (4.0 * np.pi)
+    out = [None] * len(points)
+    for i, re, im in zip(np.flatnonzero(one).tolist(), p1_re.tolist(), p1_im.tolist()):
+        out[i] = (1, [complex(re, im)], False)
+    for i in np.flatnonzero(simple & (count == 0)).tolist():
+        out[i] = (0, [], False)
+    for i, point in enumerate(points):
+        if out[i] is None:
+            try:
+                out[i] = (*_cell_starts(point, params, radius), True)
+            except RuntimeError as exc:
+                out[i] = exc
+    return out
+
+
+@dataclass
+class SearchStats:
+    """Root-search counts, summed over the cells of the batches they see."""
+
+    refined: int = 0                # cells that took the per-cell contour path
+    polished: int = 0               # Newton polishes that converged to a root
+    max_newton_iterations: int = 0  # the most Newton steps any root took
+
+
+def _search(points, params: SystemParams, stats: SearchStats | None = None) -> list:
+    """Distinct zeros of D in the open right half-plane of each cell.
+
+    Cells are grouped by search radius and counted in chunks of _CHUNK
+    (_chunk_starts); then every Newton start of the batch is polished in
+    one array Newton, and the number of distinct polished roots of each
+    cell must equal its winding count.  Returns per cell a list of roots
+    or the RuntimeError of its failed search; neither depends on the other
+    cells of the batch.  The cold gas (u_t = 0) solves each cell's quartic.
+    """
+    if params.u_t == 0.0:
+        return [_cold_unstable_roots(p, params) for p in points]
+    radii = _search_radii(points, params)
+    groups: dict[float, list[int]] = {}
+    for i, r in enumerate(radii):
+        groups.setdefault(r, []).append(i)
+    found = [None] * len(points)
+    for radius, cells in groups.items():
+        for lo in range(0, len(cells), _CHUNK):
+            chunk = cells[lo:lo + _CHUNK]
+            for i, res in zip(chunk, _chunk_starts([points[i] for i in chunk], params, radius)):
+                found[i] = res
+    starts = [(i, z) for i, f in enumerate(found) if not isinstance(f, Exception) for z in f[1]]
+    roots, steps = _newton_polish(
+        [z for _, z in starts],
+        np.array([points[i].a_asym for i, _ in starts]),
+        np.array([points[i].s_total for i, _ in starts]),
+        np.array([radii[i] for i, _ in starts]),
+        params,
+    )
+    if stats is not None:
+        stats.refined += sum(not isinstance(f, Exception) and f[2] for f in found)
+        stats.polished += int(np.count_nonzero(steps))
+        stats.max_newton_iterations = max(stats.max_newton_iterations, int(steps.max(initial=0)))
+    roots = iter(roots.tolist())
+    out = []
+    for f in found:
+        if not isinstance(f, Exception):
+            count, cell_starts, _ = f
+            distinct = []
+            for r in itertools.islice(roots, len(cell_starts)):
+                if not math.isnan(r.real) and all(abs(r - q) > 1e-9 * max(1.0, abs(q))
+                                                  for q in distinct):
+                    distinct.append(r)
+            f = distinct if len(distinct) == count else RuntimeError(
+                f"found {len(distinct)} distinct unstable roots for a winding count of {count}")
+        out.append(f)
+    return out
+
+
+def _one(result):
+    """A batch-of-one result, raising the cell's exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
+    """Distinct zeros of D in the open right half-plane (a batch of one)."""
+    return _one(_search([point], params)[0])
 
 
 def _cold_unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
@@ -493,22 +628,18 @@ def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:
     """Number of zeros of D in the open right half-plane."""
     if params.u_t == 0.0:
         return len(_cold_unstable_roots(point, params))
-    return _contour_count(point, params, _search_radius(point, params))[0]
+    return _one(_chunk_starts([point], params, _search_radii([point], params)[0])[0])[0]
 
 
 def max_growth_rate(point: PumpPoint, params: SystemParams) -> complex | None:
     """Dominant unstable root of D, or None if the state is stable.
 
-    Every unstable zero lies in the half-disc |s| < R of _search_radius.
+    Every unstable zero lies in the half-disc |s| < R of _search_radii.
     They are counted by the argument principle on the half-disc contour,
     located and Newton-polished; the one with the largest real part is
     returned.
     """
-    if params.u_t == 0.0:
-        roots = _cold_unstable_roots(point, params)
-    else:
-        roots = _unstable_roots(point, params)
-    return max(roots, key=lambda r: r.real, default=None)
+    return max(_unstable_roots(point, params), key=lambda r: r.real, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +696,7 @@ def threshold_sc_a0(params: SystemParams) -> float:
 def carl_bound(params: SystemParams) -> float:
     """Asymmetry bound |A|/S above which no travelling-wave solution exists."""
     d = params.delta
-    return abs(d) / np.sqrt(1.0 + d**2)
+    return abs(d) / math.sqrt(1.0 + d**2)
 
 
 def s_bgk(params: SystemParams, a_asym: float) -> float:
@@ -594,15 +725,8 @@ class RegimeResult:
     low_confidence: bool = False
 
 
-def classify_regime(point: PumpPoint, params: SystemParams) -> RegimeResult:
-    """Analytic phase-diagram classification of one pump point.
-
-    stable: no right-half-plane root.  carl: unstable and either the
-    asymmetry exceeds the travelling-wave bound or (warm gas) S stays below
-    S_BGK.  bgk-ordered otherwise; for a cold gas the warm-gas S_BGK
-    criterion does not apply and the label carries a low-confidence flag.
-    """
-    root = max_growth_rate(point, params)
+def _regime(point: PumpPoint, params: SystemParams, root: complex | None) -> RegimeResult:
+    """The label of a cell whose dominant unstable root is ``root``."""
     if root is None:
         return RegimeResult("stable", None)
     if point.s_total > 0 and abs(point.a_asym) / point.s_total > carl_bound(params):
@@ -612,3 +736,28 @@ def classify_regime(point: PumpPoint, params: SystemParams) -> RegimeResult:
             return RegimeResult("bgk-ordered", root)
         return RegimeResult("carl", root)
     return RegimeResult("bgk-ordered", root, low_confidence=True)
+
+
+def classify_regimes(
+    points, params: SystemParams, stats: SearchStats | None = None
+) -> list:
+    """Analytic phase-diagram classification of many pump points at once.
+
+    stable: no right-half-plane root.  carl: unstable and either the
+    asymmetry exceeds the travelling-wave bound or (warm gas) S stays below
+    S_BGK.  bgk-ordered otherwise; for a cold gas the warm-gas S_BGK
+    criterion does not apply and the label carries a low-confidence flag.
+    Returns one RegimeResult per point, or the RuntimeError of a point whose
+    root search failed; each is the same whatever else is in the batch.
+    ``stats``, if given, gains the batch's root-search counts.
+    """
+    return [
+        res if isinstance(res, Exception)
+        else _regime(point, params, max(res, key=lambda r: r.real, default=None))
+        for point, res in zip(points, _search(points, params, stats))
+    ]
+
+
+def classify_regime(point: PumpPoint, params: SystemParams) -> RegimeResult:
+    """classify_regimes for one pump point; raises if its search fails."""
+    return _one(classify_regimes([point], params)[0])

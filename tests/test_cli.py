@@ -231,6 +231,51 @@ class TestRunExperiment:
         m3 = cli.run_experiment(grown, tmp_path)
         assert (m3.results["n_resumed"], m3.results["n_computed"]) == (2, 2)
 
+    def test_grown_grid_resume_matches_fresh_sweep(self, tmp_path):
+        """Rows resumed into a grown grid are the rows a fresh sweep of that
+        grid writes: each row is a function of its cell alone."""
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 1.5, 3.0\na_over_s = 0.0, 0.4\n"
+        grown = text.replace("0.5, 1.5, 3.0", "0.25, 0.5, 1, 1.5, 2, 3").replace(
+            "a_over_s = 0.0, 0.4", "a_over_s = 0.0, 0.4, 0.8, 0.95")
+        cli.run_experiment(parse_config(text), tmp_path / "run")
+        m = cli.run_experiment(parse_config(grown), tmp_path / "run")
+        assert (m.results["n_resumed"], m.results["n_computed"]) == (6, 18)
+        cli.run_experiment(parse_config(grown), tmp_path / "fresh")
+        resumed = (tmp_path / "run/phase_diagram.csv").read_bytes().splitlines()
+        fresh = (tmp_path / "fresh/phase_diagram.csv").read_bytes().splitlines()
+        assert resumed[0] == fresh[0]
+        assert len(resumed) == len(fresh) == 25
+        assert set(resumed) == set(fresh)
+
+    def test_search_counts_in_manifest(self, tmp_path):
+        """S = S_c at A = 0 puts a zero of D on the contour: that cell takes
+        the per-cell path with a shifted axis."""
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 1.0, 2.0\na_over_s = 0.0, 0.4, 0.8\n"
+        m = cli.run_experiment(parse_config(text), tmp_path)
+        rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
+        assert m.results["n_refined"] == 1
+        assert m.results["n_roots_polished"] == sum(r.split(",")[2] != "stable" for r in rows)
+        assert 1 <= m.results["max_newton_iterations"] <= 60
+        rerun = cli.run_experiment(parse_config(text), tmp_path)
+        assert (rerun.results["n_refined"], rerun.results["n_roots_polished"],
+                rerun.results["max_newton_iterations"]) == (0, 0, 0)
+
+    def test_dynamic_sweep_rows_independent_of_threads(self, tmp_path):
+        """The worker pool runs only the N-body cells; its rows are the
+        single-process rows."""
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0, 0.8\ndynamic = true\n"
+        cfg = parse_config(text)
+        one = cli.run_experiment(cfg, tmp_path / "one", threads=1)
+        two = cli.run_experiment(cfg, tmp_path / "two", threads=2)
+        assert (tmp_path / "one/phase_diagram.csv").read_bytes() == (
+            tmp_path / "two/phase_diagram.csv").read_bytes()
+        assert one.results == two.results
+        rows = (tmp_path / "one/phase_diagram.csv").read_text().splitlines()[1:]
+        assert all(len(r.split(",")[2].split("/")) == 2 for r in rows)
+
     @pytest.mark.parametrize("change", [
         ("t_end = 1.0", "t_end = 0.5"),
         ("u_t = 3.0", "u_t = 2.0"),
@@ -260,14 +305,16 @@ class TestRunExperiment:
     def test_errored_cells_counted(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
         text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
-        classify = stability.classify_regime
+        classify = stability.classify_regimes
 
-        def fail_above_threshold(point, params):
-            if point.s_total > stability.threshold_sc_a0(params):
-                raise RuntimeError("root count mismatch")
-            return classify(point, params)
+        def fail_above_threshold(points, params, stats=None):
+            return [
+                RuntimeError("root count mismatch")
+                if point.s_total > stability.threshold_sc_a0(params) else res
+                for point, res in zip(points, classify(points, params, stats))
+            ]
 
-        monkeypatch.setattr(stability, "classify_regime", fail_above_threshold)
+        monkeypatch.setattr(stability, "classify_regimes", fail_above_threshold)
         m = cli.run_experiment(parse_config(text), tmp_path)
         rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["stable", "error:RuntimeError"]

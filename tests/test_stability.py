@@ -236,7 +236,7 @@ class TestRootSearch:
         sc = st.threshold_sc_a0(p)
         for r, aos in [(0.0, 0.0), (2.0, 0.3), (300, 0.9), (1000, 0.5)]:
             point = st.PumpPoint(r * sc, aos * r * sc)
-            radius = st._search_radius(point, p)
+            radius = st._search_radii([point], p)[0]
             assert radius == 2.0 ** round(np.log2(radius))
             for root in st._unstable_roots(point, p):
                 assert abs(root) < radius
@@ -406,3 +406,111 @@ class TestRegimes:
     def test_s_bgk_reduces_to_sc_at_zero_asymmetry(self):
         p = make_params(u_t=30.0)
         assert st.s_bgk(p, 0.0) == pytest.approx(st.threshold_sc_a0(p))
+
+
+def _result_key(res):
+    """A classification with its floats as hex text: equal keys are bitwise equal."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    growth = None if res.growth is None else (res.growth.real.hex(), res.growth.imag.hex())
+    return res.regime, growth, res.low_confidence
+
+
+def _per_point(point, p):
+    try:
+        return st.classify_regime(point, p)
+    except RuntimeError as exc:
+        return exc
+
+
+class TestBatch:
+    """classify_regimes: each cell's result is a function of that cell alone."""
+
+    @pytest.mark.parametrize("u_t", [0.05, 3.0])
+    def test_array_path_is_length_independent(self, u_t):
+        """Element i of an array evaluation is the length-1 evaluation of
+        element i, on both branches of 1 + zeta Z."""
+        p = make_params(u_t=u_t)
+        rng = np.random.default_rng(11)
+        r = 10.0 ** rng.uniform(-2.0, 2.0, 300)
+        s = r * np.exp(1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 300))
+        s[:30] = 1j * r[:30]
+        zeta = 1j * s / u_t
+        assert np.sum(np.abs(zeta) >= st._ASYMPTOTIC_ZETA) >= 30
+        assert np.sum(np.abs(zeta) < st._ASYMPTOTIC_ZETA) >= 30
+        whole = st.landau_integral(s, p)
+        single = np.array([st.landau_integral(s[i:i + 1], p)[0] for i in range(s.size)])
+        assert whole.tobytes() == single.tobytes()
+        w_whole = st._faddeeva(zeta[np.abs(zeta) < 50])
+        w_single = np.concatenate([st._faddeeva(z[None]) for z in zeta[np.abs(zeta) < 50]])
+        assert w_whole.tobytes() == w_single.tobytes()
+
+    @staticmethod
+    def _check_batch(points, p, seed=0):
+        """One batch, a shuffled batch and per-point calls agree bitwise."""
+        batch = [_result_key(r) for r in st.classify_regimes(points, p)]
+        order = np.random.default_rng(seed).permutation(len(points))
+        shuffled = st.classify_regimes([points[i] for i in order], p)
+        unshuffled = [None] * len(points)
+        for k, i in enumerate(order):
+            unshuffled[i] = _result_key(shuffled[k])
+        assert unshuffled == batch
+        assert [_result_key(_per_point(q, p)) for q in points] == batch
+        return batch
+
+    def test_sweep_grid(self):
+        """The dense sweep grid: stable cells, count-1 cells and cells whose
+        contour needs refinement."""
+        p = make_params()
+        sc = st.threshold_sc_a0(p)
+        points = [st.PumpPoint(r * sc, aos * r * sc)
+                  for r in np.linspace(0.25, 3.0, 40) for aos in np.linspace(0.0, 0.9, 25)]
+        stats = st.SearchStats()
+        st.classify_regimes(points, p, stats)
+        assert stats.refined >= 5
+        assert 1 <= stats.max_newton_iterations <= 60
+        batch = self._check_batch(points, p)
+        assert {k[0] for k in batch} == {"stable", "bgk-ordered", "carl"}
+        assert stats.polished == sum(k[0] != "stable" for k in batch)
+
+    def test_two_root_cell_in_a_batch(self):
+        p = make_params(delta=1.5)
+        s = 300.0 / _prefactor(p)
+        points = [st.PumpPoint(f * s, aos * f * s)
+                  for f in (0.01, 0.5, 1.0) for aos in (0.0, 0.25, 0.5, 0.9)]
+        stats = st.SearchStats()
+        st.classify_regimes(points, p, stats)
+        assert st.count_unstable_roots(points[9], p) == 2
+        self._check_batch(points, p, seed=1)
+        assert stats.polished >= sum(
+            st.count_unstable_roots(q, p) for q in points)
+
+    def test_cold_gas(self):
+        p = make_params(u_t=0.0)
+        points = [st.PumpPoint(10.0**load / _prefactor(p), aos * 10.0**load / _prefactor(p))
+                  for load in (-2.0, 0.0, 1.0) for aos in (0.0, 0.5, 0.95)]
+        batch = self._check_batch(points, p, seed=2)
+        ordered = [k for k in batch if k[0] == "bgk-ordered"]
+        assert ordered and all(k[2] for k in ordered)
+
+    def test_newton_failure_stays_in_its_cell(self, monkeypatch):
+        """A polish that meets D' = 0 fails its own cell and no other."""
+        p = make_params()
+        sc = st.threshold_sc_a0(p)
+        points = [st.PumpPoint(r * sc, aos * r * sc)
+                  for r in (0.5, 1.5, 2.0, 3.0) for aos in (0.0, 0.3, 0.8)]
+        clean = [_result_key(r) for r in st.classify_regimes(points, p)]
+        victim = points[7]
+        assert clean[7][0] != "stable"
+        pair = st._dispersion_pair
+
+        def flat_at_victim(s, a_asym, s_total, params):
+            f, df = pair(s, a_asym, s_total, params)
+            hit = (a_asym == victim.a_asym) & (s_total == victim.s_total)
+            return f, np.where(hit, 0.0, df)
+
+        monkeypatch.setattr(st, "_dispersion_pair", flat_at_victim)
+        batch = self._check_batch(points, p, seed=3)
+        assert batch[7] == (
+            "RuntimeError", "found 0 distinct unstable roots for a winding count of 1")
+        assert batch[:7] + batch[8:] == clean[:7] + clean[8:]
