@@ -178,7 +178,9 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
             spath = outdir / f"snapshot_tau{tau:g}.txt"
             write_snapshot(spath, grid)
             manifest.add_file(spath)
-    manifest.results["lost_mass"] = float(snaps[-1][1].lost_mass)
+    final = snaps[-1][1]
+    manifest.timings["slabs"] = vlasov.slab_count(final.nx, final.nv)
+    manifest.results["lost_mass"] = float(final.lost_mass)
     manifest.results["classification"] = (
         nbody.classify_run(series) if len(series) >= 8 else "unclassified"
     )
@@ -263,8 +265,9 @@ def _without_grid(snapshot: dict) -> dict:
     }
 
 
-def _existing_cells(path: Path, manifest_path: Path, snapshot: dict) -> set[tuple[str, str]]:
-    """Cells of a previous sweep output that a run of `snapshot` may reuse.
+def _existing_rows(path: Path, manifest_path: Path, snapshot: dict) -> dict:
+    """Rows of a previous sweep output that a run of `snapshot` may reuse,
+    keyed by their (S, A) text.
 
     Rows are reused only when the previous manifest verifies the CSV's
     checksum and recorded the same config apart from the sweep grid;
@@ -272,20 +275,16 @@ def _existing_cells(path: Path, manifest_path: Path, snapshot: dict) -> set[tupl
     options) everything is recomputed.
     """
     if not path.exists() or not manifest_path.exists():
-        return set()
+        return {}
     from .config import sha256_file
 
     old = RunManifest.from_json(manifest_path.read_text())
     if old.files.get(path.name) != sha256_file(path):
-        return set()
+        return {}
     if _without_grid(old.config) != _without_grid(snapshot):
-        return set()
-    done = set()
+        return {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row and row[0] != "S":
-                done.add((row[0], row[1]))
-    return done
+        return {(row[0], row[1]): row for row in csv.reader(fh) if row and row[0] != "S"}
 
 
 def _mode_phase_diagram(
@@ -299,18 +298,19 @@ def _mode_phase_diagram(
         for aos in sw["a_over_s"]
     ]
     path = outdir / "phase_diagram.csv"
-    done = _existing_cells(path, outdir / "manifest.json", cfg.snapshot)
-    todo = [(s, a) for (s, a) in cells if (_fmt(s), _fmt(a)) not in done]
+    done = _existing_rows(path, outdir / "manifest.json", cfg.snapshot)
+    keys = [(_fmt(s), _fmt(a)) for s, a in cells]
+    todo = [cell for cell, key in zip(cells, keys) if key not in done]
     stats = stability.SearchStats()
     with _stage(manifest, "sweep"):
         rows = _sweep_rows(todo, cfg, threads, stats)
-    fresh = not path.exists() or not done
+    computed = iter(rows)
     with _stage(manifest, "write"):
-        with open(path, "w" if fresh else "a", newline="") as fh:
+        # the whole grid in order: rows of cells off the current grid go
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            if fresh:
-                w.writerow(PHASE_HEADER)
-            w.writerows(rows)
+            w.writerow(PHASE_HEADER)
+            w.writerows(done[key] if key in done else next(computed) for key in keys)
         manifest.add_file(path)
     manifest.results["n_cells"] = len(cells)
     manifest.results["n_computed"] = len(rows)

@@ -22,6 +22,19 @@ far as it interpolates, which keeps nonlinear runs from ringing.  Neither
 shift has a limiter, so f may undershoot zero slightly; diagnostics clamp
 at zero, the solver does not.
 
+Inside a run (:func:`run_vlasov`, :func:`vlasov_step`) each shift of a
+grid of at least 2 * MIN_SLAB_CELLS cells is split into slabs of whole
+lines, chi drift by u columns and u kick by chi rows, one slab per CPU in
+the process's affinity mask (``os.sched_getaffinity``, so ``taskset``
+limits them; at most MAX_SLABS).  numpy's FFTs and array passes release
+the GIL, so the slabs run in parallel on a thread pool that the run
+creates and joins before it returns.  Each line is transformed exactly as
+on its own, and the sums (theta, moments, mass) run whole-array on the
+calling thread, so results are bitwise identical for any slab count.
+A run also reuses its big arrays from step to step instead of fresh
+(nx, nv)-sized ones: the shifts' spectra and u phase table, and the f of
+the grid each kick consumes, which the next drift overwrites.
+
 The solver uses no spline prefilter.  The module still resolves the name
 ``spline_filter1d`` through a module-level ``__getattr__``, which imports
 ``scipy.ndimage`` only when something asks for that name (nothing in the
@@ -31,8 +44,12 @@ package does), because the benchmark's tracer wraps it as the
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +71,7 @@ __all__ = [
     "vlasov_step",
     "grid_moments",
     "run_vlasov",
+    "slab_count",
 ]
 
 # mass leaving the truncated u domain: warn above this much in one step,
@@ -64,6 +82,12 @@ OVERFLOW_FAIL = 1e-3
 # filamentation filter of the u kick (see shift_clamped_u)
 FILTER_STRENGTH = 36.0
 FILTER_ORDER = 16
+
+# slab threads of the shifts (see _slab_workspace): at most this many slabs,
+# none of fewer grid cells than this (a 256 x 256 grid runs inline: its
+# arrays fit one core's cache, and two slabs measured slower than one)
+MAX_SLABS = 8
+MIN_SLAB_CELLS = 1 << 16
 
 
 def __getattr__(name):
@@ -151,6 +175,104 @@ def make_grid(
 
 
 # ---------------------------------------------------------------------------
+# Slabs: the threads and scratch arrays of a run's shifts
+# ---------------------------------------------------------------------------
+
+
+def _cpu_slabs() -> int:
+    """Slabs a run may use: the CPUs the process may run on, at most MAX_SLABS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform (macOS)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_SLABS))
+
+
+def _slab_count(slabs: int, lines: int, cells: int) -> int:
+    return max(1, min(slabs, lines, cells // MIN_SLAB_CELLS))
+
+
+def slab_count(nx: int, nv: int) -> int:
+    """The slabs each shift of a run on an nx by nv grid takes in this process
+    (the fewer, should one shift have fewer lines than slabs)."""
+    return _slab_count(_cpu_slabs(), min(nx, nv), nx * nv)
+
+
+class _Workspace:
+    """A run's slab pool and the arrays its steps reuse.
+
+    ``arrays`` holds the shifts' scratch arrays by name.  ``drift_output``
+    is the f the last drift made and ``spare`` a dead one for the next
+    drift to overwrite (see :func:`_kick`).
+    """
+
+    def __init__(self, slabs: int):
+        self.slabs = slabs
+        self.pool = None if slabs < 2 else concurrent.futures.ThreadPoolExecutor(
+            max_workers=slabs - 1, thread_name_prefix="ringcarl-slab")
+        self.arrays = {}
+        self.drift_output = self.spare = None
+
+    def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        out = self.arrays.get(key)
+        if out is None or out.shape != shape:
+            out = self.arrays[key] = np.empty(shape, dtype=complex)
+        return out
+
+
+# the workspace of the enclosing run, bound by _slab_workspace
+_WORKSPACE = contextvars.ContextVar("ringcarl_vlasov_workspace", default=None)
+
+
+@contextmanager
+def _slab_workspace():
+    """Bind a workspace for the shifts while the block runs.
+
+    :func:`_cpu_slabs` threads share each shift, the calling thread working
+    one slab itself, so the pool holds one thread fewer; they start on the
+    first shift that splits and are joined when the block ends, normally
+    or by an exception, so no thread outlives the run.
+    """
+    space = _Workspace(_cpu_slabs())
+    token = _WORKSPACE.set(space)
+    try:
+        yield
+    finally:
+        _WORKSPACE.reset(token)
+        if space.pool is not None:
+            space.pool.shutdown()
+
+
+def _complex_scratch(key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array to overwrite: the bound workspace's, else a new one."""
+    space = _WORKSPACE.get()
+    return np.empty(shape, dtype=complex) if space is None else space.array(key, shape)
+
+
+def _run_slabs(work, lines: int, cells: int) -> None:
+    """Call work(start, stop) over consecutive slabs that cover range(lines).
+
+    Outside a workspace, or with fewer than 2 * MIN_SLAB_CELLS cells, it is
+    one inline call.  Otherwise the calling thread works the first slab and
+    the pool the others; every slab is waited for, then the first failure
+    is raised here.  ``work`` must touch numpy and its own slab only.
+    """
+    space = _WORKSPACE.get()
+    slabs = 1 if space is None or space.pool is None else _slab_count(space.slabs, lines, cells)
+    if slabs == 1:
+        work(0, lines)
+        return
+    cuts = [lines * k // slabs for k in range(slabs + 1)]
+    futures = [space.pool.submit(work, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+    try:
+        work(0, cuts[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for fut in futures:
+        fut.result()
+
+
+# ---------------------------------------------------------------------------
 # Shifts: spectral along chi and along u
 # ---------------------------------------------------------------------------
 
@@ -164,20 +286,33 @@ def _phase_table(nx: int, shift_cells: bytes) -> np.ndarray:
     return table
 
 
-def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
+def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0.
 
     The shift moves the trigonometric interpolant of each column exactly
     (its spectrum times e^{-2 pi i k shift / nx}), so shifts compose,
     integer shifts are rolls and the column mass (k = 0) is kept; but the
     Nyquist mode of an even nx, which no real grid function can move by a
-    fraction of a cell, is scaled by cos(pi shift) instead.
+    fraction of a cell, is scaled by cos(pi shift) instead.  Inside a run
+    the columns are split into slabs (:func:`_run_slabs`), each column
+    transformed exactly as on its own, so the result does not depend on
+    the slab count.  ``out``, a C-contiguous float array of f's shape
+    other than f, receives the result (default: a new array).
     """
     nx, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
-    spectrum = np.fft.rfft(f, axis=0)
-    spectrum *= _phase_table(nx, np.ascontiguousarray(shift).tobytes())
-    return np.fft.irfft(spectrum, n=nx, axis=0)
+    table = _phase_table(nx, np.ascontiguousarray(shift).tobytes())
+    spectrum = _complex_scratch("chi spectrum", table.shape)
+    out = np.empty((nx, nv)) if out is None else out
+
+    def columns(a, b):
+        part = np.fft.rfft(f[:, a:b], axis=0, out=spectrum[:, a:b])
+        part *= table[:, a:b]
+        np.fft.irfft(part, n=nx, axis=0, out=out[:, a:b])
+
+    _run_slabs(columns, nv, f.size)
+    return out
 
 
 def _padded_length(m: int) -> int:
@@ -218,21 +353,39 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     all rows keeps the filter uniform in chi; row-by-row weights would put
     their kinks at the force's zeros into every chi mode.  The k = 0 mode
     is kept, so the in-domain plus cropped sums are still the input sum.
+
+    n, w and the filter are computed once; inside a run the rows are then
+    split into slabs (:func:`_run_slabs`), each building its rows of the
+    table and transforming them exactly as on their own, so the result
+    does not depend on the slab count.  The result is the first nv
+    columns of an nrows by n array.
     """
     nrows, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
     n = _padded_length(nv + int(np.ceil(np.max(np.abs(shift)))) + 2)
     nk = n // 2 + 1
-    w = (-2j * np.pi / n) * shift[:, None]
-    coarse = np.exp(w * np.arange(0, nk, 16))
-    fine = np.exp(w * np.arange(16))
-    table = (coarse[:, :, None] * fine[:, None, :]).reshape(nrows, -1)[:, :nk]
     q = shift - np.floor(shift)
     weight = np.max(4.0 * q * (1.0 - q))
-    table *= np.exp(-FILTER_STRENGTH * weight * (np.arange(nk) / (nk - 1)) ** FILTER_ORDER)
-    spectrum = np.fft.rfft(f, n=n, axis=1)
-    spectrum *= table
-    return np.fft.irfft(spectrum, n=n, axis=1)[:, :nv]
+    damping = np.exp(-FILTER_STRENGTH * weight * (np.arange(nk) / (nk - 1)) ** FILTER_ORDER)
+    padded = np.empty((nrows, n))
+    spectrum = _complex_scratch("u spectrum", (nrows, nk))
+    product = _complex_scratch("u table", (nrows, -(-nk // 16), 16))
+
+    def rows(a, b):
+        w = (-2j * np.pi / n) * shift[a:b, None]
+        coarse = np.exp(w * np.arange(0, nk, 16))
+        fine = np.exp(w * np.arange(16))
+        table = np.multiply(coarse[:, :, None], fine[:, None, :], out=product[a:b])
+        table = table.reshape(b - a, -1)[:, :nk]
+        table *= damping
+        padded[a:b, :nv] = f[a:b]
+        padded[a:b, nv:] = 0.0
+        part = np.fft.rfft(padded[a:b], axis=1, out=spectrum[a:b])
+        part *= table
+        np.fft.irfft(part, n=n, axis=1, out=padded[a:b])
+
+    _run_slabs(rows, nrows, f.size)
+    return padded[:, :nv]
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +399,29 @@ def grid_moments(grid: PhaseSpaceGrid):
     Plain node sums, consistent with the semi-Lagrangian scheme (spectral
     accuracy in periodic chi, Gaussian-tail accuracy in u).
     """
-    w_chi = np.exp(-1j * grid.chi)
-    col = np.sum(grid.f, axis=1)  # chi marginal / du
     row = np.sum(grid.f, axis=0)  # u marginal / dchi
     cell = grid.cell
-    theta = complex(np.sum(w_chi * col) * cell)
     v_cm = float(np.sum(grid.u * row) * cell)
     ekin = float(np.sum(0.5 * grid.u**2 * row) * cell)
-    return theta, v_cm, ekin
+    return _theta(grid), v_cm, ekin
+
+
+def _theta(grid: PhaseSpaceGrid) -> complex:
+    """The bunching theta of :func:`grid_moments` alone."""
+    col = np.sum(grid.f, axis=1)  # chi marginal / du
+    return complex(np.sum(np.exp(-1j * grid.chi) * col) * grid.cell)
 
 
 def _drift(state, h):
-    """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid."""
+    """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid.
+
+    Its f overwrites the run's spare array, if it has one (see _kick).
+    """
     grid, a = state
-    return replace(grid, f=shift_periodic_chi(grid.f, grid.u * h / grid.dchi)), a
+    space = _WORKSPACE.get()
+    out, space.spare = space.spare, None
+    space.drift_output = shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out)
+    return replace(grid, f=space.drift_output), a
 
 
 def _kick(state, h, params, hamiltonian=False):
@@ -268,13 +430,18 @@ def _kick(state, h, params, hamiltonian=False):
     A non-finite f shows in theta, hence in the kick; lost mass is counted.
     """
     grid, a = state
-    theta, _, _ = grid_moments(grid)
-    a, j = mode_flow(a, theta, params, h, hamiltonian)
+    a, j = mode_flow(a, _theta(grid), params, h, hamiltonian)
     kick = force(np.sin(grid.chi), np.cos(grid.chi), j, params)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
     out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du))
     lost = grid.mass() - out.mass()
+    space = _WORKSPACE.get()
+    if grid.f is space.drift_output:
+        # split_run hands the drift's new grid straight to the kick and
+        # keeps no reference to it: its f is dead, and the next drift reuses
+        # it instead of a fresh (nx, nv) array each step
+        space.drift_output, space.spare = None, grid.f
     out.lost_mass += lost
     if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
@@ -314,7 +481,8 @@ def vlasov_step(
     being finite.
     """
     kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
-    _, [(_, state)] = split_run((grid, a), _drift, kick, _sample, dt, dt, dt)
+    with _slab_workspace():
+        _, [(_, state)] = split_run((grid, a), _drift, kick, _sample, dt, dt, dt)
     return state
 
 
@@ -347,6 +515,7 @@ def run_vlasov(
     else:
         grid = grid.copy()
     a = steady_state_fields(params) if fields is None else fields
-    series, snaps = split_run((grid, a), _drift, functools.partial(_kick, params=params),
-                              _sample, t_end, sample_every, dt, snapshot_every)
+    with _slab_workspace():
+        series, snaps = split_run((grid, a), _drift, functools.partial(_kick, params=params),
+                                  _sample, t_end, sample_every, dt, snapshot_every)
     return series, [(tau, g) for tau, (g, _) in snaps]

@@ -248,6 +248,22 @@ class TestRunExperiment:
         assert len(resumed) == len(fresh) == 25
         assert set(resumed) == set(fresh)
 
+    def test_changed_grid_resume_keeps_only_its_cells(self, tmp_path):
+        """A resume rewrites the CSV with the current grid's cells alone, in
+        grid order: the file is a fresh sweep's, byte for byte."""
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 1.5, 3.0\na_over_s = 0.0, 0.4\n"
+        changed = text.replace("0.5, 1.5, 3.0", "0.25, 1.5, 3.0, 4.0").replace(
+            "a_over_s = 0.0, 0.4", "a_over_s = 0.4, 0.8")
+        cli.run_experiment(parse_config(text), tmp_path / "run")
+        m = cli.run_experiment(parse_config(changed), tmp_path / "run")
+        assert (m.results["n_resumed"], m.results["n_computed"]) == (2, 6)
+        rows = (tmp_path / "run/phase_diagram.csv").read_bytes().splitlines()
+        assert len(rows) - 1 == m.results["n_cells"] == 8
+        cli.run_experiment(parse_config(changed), tmp_path / "fresh")
+        assert (tmp_path / "run/phase_diagram.csv").read_bytes() == (
+            tmp_path / "fresh/phase_diagram.csv").read_bytes()
+
     def test_search_counts_in_manifest(self, tmp_path):
         """S = S_c at A = 0 puts a zero of D on the contour: that cell takes
         the per-cell path with a shifted axis."""

@@ -1,4 +1,6 @@
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +401,135 @@ class TestRun:
                 # rounding of two mass sums per step, on a unit mass
                 assert snap.lost_mass == pytest.approx(g.lost_mass, abs=1e-13)
         assert abs(series.theta[-1] - series.theta[0]) > 1e-2  # the state moved
+
+
+class TestSlabs:
+    """Inside a run the shifts split their lines into slabs on a thread pool;
+    every line is transformed as on its own, so the bits do not depend on
+    the slab count, and the pool lives only as long as the run."""
+
+    @pytest.fixture(autouse=True)
+    def small_slabs(self, monkeypatch):
+        monkeypatch.setattr(vl, "MIN_SLAB_CELLS", 1)
+
+    @staticmethod
+    def check_threads(names, slabs):
+        """Every call worked ``slabs`` slabs, on more than one thread if
+        slabs > 1 (an idle pool thread may take two slabs of a call)."""
+        assert len(names) % slabs == 0
+        assert len(set(names)) == 1 if slabs == 1 else 1 < len(set(names)) <= slabs
+
+    @staticmethod
+    def slab_threads(monkeypatch):
+        """Record the thread that works each slab."""
+        names = []
+        run_slabs = vl._run_slabs
+
+        def recording(work, lines, cells):
+            def recorded(a, b):
+                names.append(threading.current_thread().name)
+                work(a, b)
+            run_slabs(recorded, lines, cells)
+
+        monkeypatch.setattr(vl, "_run_slabs", recording)
+        return names
+
+    @pytest.mark.parametrize("shape", [(33, 65), (64, 129)])
+    def test_shifts_bitwise_for_any_slab_count(self, shape, monkeypatch):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(shape)
+        chi_shifts = rng.uniform(-3 * shape[0], 3 * shape[0], shape[1])
+        u_shifts = rng.uniform(-0.7, 0.4, shape[0])
+        u_shifts[::5] = 0.0
+        names = self.slab_threads(monkeypatch)
+        out = {}
+        for slabs in (1, 2, 3):
+            monkeypatch.setattr(vl, "_cpu_slabs", lambda slabs=slabs: slabs)
+            names.clear()
+            with vl._slab_workspace():
+                out[slabs] = (vl.shift_periodic_chi(f, chi_shifts), vl.shift_clamped_u(f, u_shifts))
+            assert len(names) == 2 * slabs
+            self.check_threads(names, slabs)
+        for slabs in (2, 3):
+            for got, want in zip(out[slabs], out[1]):
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
+
+    @pytest.mark.parametrize("nx, nv", [(33, 65), (64, 129)])
+    def test_run_bitwise_for_any_slab_count(self, nx, nv, monkeypatch):
+        p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
+        fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
+        names = self.slab_threads(monkeypatch)
+        runs = {}
+        for slabs in (1, 2, 3):
+            monkeypatch.setattr(vl, "_cpu_slabs", lambda slabs=slabs: slabs)
+            names.clear()
+            g = vl.make_grid(p, nx=nx, nv=nv, cosine_eps=0.2)
+            runs[slabs] = vl.run_vlasov(p, grid=g, fields=fl, t_end=1.0, dt=0.05,
+                                        sample_every=0.1, snapshot_every=0.5)
+            self.check_threads(names, slabs)
+        series, snaps = runs[1]
+        assert snaps[-1][1].lost_mass != 0.0  # the kick crops mass
+        for slabs in (2, 3):
+            other, other_snaps = runs[slabs]
+            for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy"):
+                assert getattr(other, name).tobytes() == getattr(series, name).tobytes(), name
+            assert len(other_snaps) == len(snaps) == 3
+            for (tau, g), (other_tau, other_g) in zip(snaps, other_snaps):
+                assert other_tau == tau
+                assert other_g.f.tobytes() == g.f.tobytes()
+                assert other_g.lost_mass == g.lost_mass
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        p = make_params()
+        monkeypatch.setattr(vl, "_cpu_slabs", lambda: 3)
+        before = threading.active_count()
+        vl.run_vlasov(p, t_end=0.1, dt=0.05, nx=33, nv=65)
+        g = vl.make_grid(p, nx=33, nv=65)
+        vl.vlasov_step(g, steady_state_fields(p), p, 0.05)
+        assert threading.active_count() == before
+
+    def test_slab_failure_raises_and_stops_the_pool(self, monkeypatch):
+        """A slab that raises on a worker thread fails the run on the
+        calling thread once every slab has ended; no worker is left."""
+        monkeypatch.setattr(vl, "_cpu_slabs", lambda: 2)
+        run_slabs = vl._run_slabs
+
+        def failing(work, lines, cells):
+            def work_or_fail(a, b):
+                if a > 0:
+                    raise MemoryError("injected")
+                work(a, b)
+            run_slabs(work_or_fail, lines, cells)
+
+        monkeypatch.setattr(vl, "_run_slabs", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="injected"):
+            vl.run_vlasov(make_params(), t_end=0.1, dt=0.05, nx=33, nv=65)
+        assert threading.active_count() == before
+
+    def test_traced_run_has_one_kick_span_per_step(self, monkeypatch):
+        """The benchmark's tracer keeps one span stack: slab threads call
+        none of the functions it wraps."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+
+        monkeypatch.setattr(vl, "_cpu_slabs", lambda: 2)
+        names = self.slab_threads(monkeypatch)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            vl.run_vlasov(make_params(), t_end=0.5, dt=0.05, sample_every=0.1, nx=33, nv=65)
+        finally:
+            tracer.uninstall()
+        assert len(set(names)) == 2
+        doc = tracer.document()
+        index = {t["name"]: k for k, t in enumerate(doc["targets"])}
+        target = np.array(doc["spans"]["target"])
+        parent = np.array(doc["spans"]["parent"])
+        (run,) = np.flatnonzero(target == index["ringcarl.vlasov.run_vlasov"])
+        kicks = target == index["ringcarl.vlasov.shift_clamped_u"]
+        drifts = target == index["ringcarl.vlasov.shift_periodic_chi"]
+        assert kicks.sum() == 10
+        assert drifts.sum() == 10 + 5  # one per step, and the halves of the 5 samples
+        assert np.all(parent[kicks | drifts] == run)
