@@ -295,9 +295,12 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
     and may check the state; an IntegrationDivergedError from it or a part
     is re-raised with tau = i dt of its step.  Returns the TimeSeries and
     the (tau, state) snapshots from tau = 0, or only the final state if
-    ``snapshot_every`` is None.  Parts may update arrays in place only if
-    no snapshots are kept.  With t_end = sample_every = dt it is one
-    unfused step, which is how the solvers' single steps run.
+    ``snapshot_every`` is None.  ``inner`` always receives the state that
+    ``outer`` just made, and split_run keeps no other reference to it, so
+    inner may hand that state's arrays back for reuse; other than that,
+    parts may update arrays in place only if no snapshots are kept.  With
+    t_end = sample_every = dt it is one unfused step, which is how the
+    solvers' single steps run.
     """
     if not (t_end > 0 and dt > 0):
         raise DomainError(f"t_end and dt must be positive, got {t_end} and {dt}")

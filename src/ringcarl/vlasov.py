@@ -26,7 +26,7 @@ Inside a run (:func:`run_vlasov`, :func:`vlasov_step`) each shift of a
 grid of at least 2 * MIN_SLAB_CELLS cells is split into slabs of whole
 lines, chi drift by u columns and u kick by chi rows, one slab per CPU in
 the process's affinity mask (``os.sched_getaffinity``, so ``taskset``
-limits them; at most MAX_SLABS).  numpy's FFTs and array passes release
+limits them), and no slab of fewer than MIN_SLAB_CELLS cells.  numpy's FFTs and array passes release
 the GIL, so the slabs run in parallel on a thread pool that the run
 creates and joins before it returns.  Each line is transformed exactly as
 on its own, and the sums (theta, moments, mass) run whole-array on the
@@ -83,10 +83,9 @@ OVERFLOW_FAIL = 1e-3
 FILTER_STRENGTH = 36.0
 FILTER_ORDER = 16
 
-# slab threads of the shifts (see _slab_workspace): at most this many slabs,
-# none of fewer grid cells than this (a 256 x 256 grid runs inline: its
-# arrays fit one core's cache, and two slabs measured slower than one)
-MAX_SLABS = 8
+# slab threads of the shifts (see _slab_workspace): no slab of fewer grid
+# cells than this (a 256 x 256 grid runs inline: on a 2-CPU host two slabs
+# measured slower than one there, 2.55 against 2.36 ms per step)
 MIN_SLAB_CELLS = 1 << 16
 
 
@@ -180,12 +179,12 @@ def make_grid(
 
 
 def _cpu_slabs() -> int:
-    """Slabs a run may use: the CPUs the process may run on, at most MAX_SLABS."""
+    """Slabs a run may use: the CPUs the process may run on."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform (macOS)
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_SLABS))
+    return max(1, cpus)
 
 
 def _slab_count(slabs: int, lines: int, cells: int) -> int:
@@ -201,9 +200,8 @@ def slab_count(nx: int, nv: int) -> int:
 class _Workspace:
     """A run's slab pool and the arrays its steps reuse.
 
-    ``arrays`` holds the shifts' scratch arrays by name.  ``drift_output``
-    is the f the last drift made and ``spare`` a dead one for the next
-    drift to overwrite (see :func:`_kick`).
+    ``arrays`` holds the shifts' scratch arrays by name and ``spare`` a
+    dead f for the next drift to overwrite (see :func:`_kick`).
     """
 
     def __init__(self, slabs: int):
@@ -211,7 +209,7 @@ class _Workspace:
         self.pool = None if slabs < 2 else concurrent.futures.ThreadPoolExecutor(
             max_workers=slabs - 1, thread_name_prefix="ringcarl-slab")
         self.arrays = {}
-        self.drift_output = self.spare = None
+        self.spare = None
 
     def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         out = self.arrays.get(key)
@@ -420,8 +418,7 @@ def _drift(state, h):
     grid, a = state
     space = _WORKSPACE.get()
     out, space.spare = space.spare, None
-    space.drift_output = shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out)
-    return replace(grid, f=space.drift_output), a
+    return replace(grid, f=shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out)), a
 
 
 def _kick(state, h, params, hamiltonian=False):
@@ -436,12 +433,9 @@ def _kick(state, h, params, hamiltonian=False):
         raise IntegrationDivergedError(float("nan"))
     out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du))
     lost = grid.mass() - out.mass()
-    space = _WORKSPACE.get()
-    if grid.f is space.drift_output:
-        # split_run hands the drift's new grid straight to the kick and
-        # keeps no reference to it: its f is dead, and the next drift reuses
-        # it instead of a fresh (nx, nv) array each step
-        space.drift_output, space.spare = None, grid.f
+    # the kick's input is the drift's output, which split_run drops: the
+    # next drift overwrites its f instead of a fresh (nx, nv) array
+    _WORKSPACE.get().spare = grid.f
     out.lost_mass += lost
     if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
