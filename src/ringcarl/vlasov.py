@@ -26,11 +26,12 @@ Inside a run (:func:`run_vlasov`, :func:`vlasov_step`) each shift of a
 grid of at least 2 * MIN_SLAB_CELLS cells is split into slabs of whole
 lines, chi drift by u columns and u kick by chi rows, one slab per CPU in
 the process's affinity mask (``os.sched_getaffinity``, so ``taskset``
-limits them), and no slab of fewer than MIN_SLAB_CELLS cells.  numpy's FFTs and array passes release
-the GIL, so the slabs run in parallel on a thread pool that the run
-creates and joins before it returns.  Each line is transformed exactly as
-on its own, and the sums (theta, moments, mass) run whole-array on the
-calling thread, so results are bitwise identical for any slab count.
+limits them), and no slab of fewer than MIN_SLAB_CELLS cells.  numpy's
+FFTs and array passes release the GIL, so the slabs run in parallel on a
+thread pool that the run creates and joins before it returns.  Each line
+is transformed exactly as on its own, and the sums (theta, moments, mass)
+run whole-array on the calling thread, so results are bitwise identical
+for any slab count.
 A run also reuses its big arrays from step to step instead of fresh
 (nx, nv)-sized ones: the shifts' spectra and u phase table, and the f of
 the grid each kick consumes, which the next drift overwrites.
@@ -181,10 +182,9 @@ def make_grid(
 def _cpu_slabs() -> int:
     """Slabs a run may use: the CPUs the process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform (macOS)
-        cpus = os.cpu_count() or 1
-    return max(1, cpus)
+        return os.cpu_count() or 1
 
 
 def _slab_count(slabs: int, lines: int, cells: int) -> int:
