@@ -271,17 +271,21 @@ def _existing_rows(path: Path, manifest_path: Path, snapshot: dict) -> dict:
 
     Rows are reused only when the previous manifest verifies the CSV's
     checksum and recorded the same config apart from the sweep grid;
-    otherwise (no manifest, a stale or corrupt CSV, other physics or
-    options) everything is recomputed.
+    otherwise (no manifest, an unreadable one, a stale or corrupt CSV,
+    other physics or options) everything is recomputed.
     """
     if not path.exists() or not manifest_path.exists():
         return {}
     from .config import sha256_file
 
-    old = RunManifest.from_json(manifest_path.read_text())
-    if old.files.get(path.name) != sha256_file(path):
-        return {}
-    if _without_grid(old.config) != _without_grid(snapshot):
+    try:
+        old = RunManifest.from_json(manifest_path.read_text())
+        if old.files.get(path.name) != sha256_file(path):
+            return {}
+        if _without_grid(old.config) != _without_grid(snapshot):
+            return {}
+    except (ValueError, TypeError, AttributeError):
+        # truncated or not JSON, missing or unknown keys, values of another type
         return {}
     with open(path, newline="") as fh:
         return {(row[0], row[1]): row for row in csv.reader(fh) if row and row[0] != "S"}

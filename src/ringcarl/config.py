@@ -251,6 +251,13 @@ def parse_config(text: str) -> RunConfig:
                     ("sample_every", get("run", "sample_every"))):
         if not v > 0:
             errors.append(f"run.{name} must be > 0, got {v}")
+    for section, key, low in (("vlasov", "nx", 1), ("vlasov", "nv", 2),
+                              ("boundary", "n_omega", 1)):
+        if get(section, key) < low:
+            errors.append(f"{section}.{key} must be >= {low}, got {get(section, key)}")
+    snapshot_every = get("vlasov", "snapshot_every")
+    if snapshot_every is not None and not snapshot_every > 0:
+        errors.append(f"vlasov.snapshot_every must be > 0, got {snapshot_every}")
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")

@@ -18,17 +18,16 @@ imaginary axis is automatic.  Only Im zeta >= 0 is needed (Re s >= 0),
 and numpy is the only dependency:
 
 * w(zeta) = Z / (i sqrt(pi)) is Weideman's rational series with N = 40,
-  its coefficients from one FFT at import; the array path is a numpy
-  Horner loop (contour tables, refinement midpoints, the Newton polish,
-  the boundary), the scalar path the same loop in Python complex
-  arithmetic.  Each element of the array path is a function of that
-  element alone, whatever the array's length.
+  its coefficients from one FFT at import, summed by a numpy Horner loop.
+  Each element of an array evaluation is a function of that element
+  alone, whatever the array's length.
 * For |zeta| >= 7, 1 + zeta Z comes from its asymptotic series
   -sum (2n-1)!! / (2 zeta^2)^n instead, so small u_t loses no digits to
   the cancellation in 1 + zeta Z.
-* A Python complex s takes the scalar path in dispersion and
-  dispersion_derivative.  D and D' get I(s) and I'(s) from one evaluation
-  of 1 + zeta Z.
+* D, its rounding level and D' are written once, in _dispersion_values,
+  from I(s) and I'(s) of one evaluation of 1 + zeta Z.  A scalar s is
+  evaluated as a length-1 array: it returns a numpy scalar, bitwise the
+  element of an array evaluation.
 
 Unstable roots are searched on a closed contour: down the imaginary axis
 from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
@@ -149,7 +148,6 @@ def _weideman_coefficients(n: int, scale: float) -> np.ndarray:
 
 
 _W_COEFFS = _weideman_coefficients(_W_TERMS, _W_L)
-_W_COEFFS_PY = tuple(float(c) for c in _W_COEFFS)
 
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
@@ -164,33 +162,17 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     return (2.0 * p / lz + _INV_SQRT_PI) / lz
 
 
-def _faddeeva_scalar(z: complex) -> complex:
-    """w(z) for one Python complex with Im z >= 0: _faddeeva's loop unboxed."""
-    lz = _W_L - 1j * z
-    zz = (_W_L + 1j * z) / lz
-    p = 0j
-    for c in _W_COEFFS_PY:
-        p = p * zz + c
-    return (2.0 * p / lz + _INV_SQRT_PI) / lz
-
-
-def _plasma_z(zeta: np.ndarray) -> np.ndarray:
-    """Plasma dispersion function Z(zeta) = i sqrt(pi) w(zeta), Im zeta >= 0."""
-    return 1j * _SQRT_PI * _faddeeva(zeta)
-
-
-def _asymptotic_response(zeta, r: float):
-    """1 + zeta Z and its zeta-derivative for |zeta| >= r >= 7, Im zeta >= 0.
+def _asymptotic_response(zeta: np.ndarray):
+    """1 + zeta Z and its zeta-derivative on an array, |zeta| >= 7, Im zeta >= 0.
 
     1 + zeta Z ~ -sum_{n>=1} t_n, t_n = (2n-1)!! / (2 zeta^2)^n (Fried &
     Conte 1961), with no exponential term in the upper half-plane; term by
     term, d/dzeta (1 + zeta Z) ~ (2 / zeta) sum n t_n.  |t_n / t_1| is at
-    most the same ratio at |zeta| = r, and the sum stops once that is below
-    rounding, or where the terms would stop falling.  zeta is a Python
-    complex or an array.
+    most the same ratio at |zeta| = 7, so every element takes the terms that
+    bring that below rounding, or all that still fall.
     """
     x = 0.5 / (zeta * zeta)
-    x_r = 0.5 / (r * r)
+    x_r = 0.5 / (_ASYMPTOTIC_ZETA * _ASYMPTOTIC_ZETA)
     term = -x
     g, dg = term, term
     n, ratio = 1, 1.0
@@ -207,23 +189,13 @@ def _response(zeta: np.ndarray):
     """1 + zeta Z(zeta) and its zeta-derivative on an array, Im zeta >= 0."""
     shape = np.shape(zeta)
     zeta = np.reshape(zeta, -1)
-    z = _plasma_z(zeta)
+    z = 1j * _SQRT_PI * _faddeeva(zeta)  # Z(zeta)
     g = 1.0 + zeta * z
     dg = z - 2.0 * zeta * g  # Z' = -2 (1 + zeta Z)
     big = np.abs(zeta) >= _ASYMPTOTIC_ZETA
-    if big.any():  # the terms the series takes at |zeta| = 7 serve every element
-        g[big], dg[big] = _asymptotic_response(zeta[big], _ASYMPTOTIC_ZETA)
+    if big.any():
+        g[big], dg[big] = _asymptotic_response(zeta[big])
     return g.reshape(shape), dg.reshape(shape)
-
-
-def _response_scalar(zeta: complex) -> tuple[complex, complex]:
-    """_response for one Python complex, in Python arithmetic."""
-    r = abs(zeta)
-    if r >= _ASYMPTOTIC_ZETA:
-        return _asymptotic_response(zeta, r)
-    z = 1j * _SQRT_PI * _faddeeva_scalar(zeta)
-    g = 1.0 + zeta * z
-    return g, z - 2.0 * zeta * g
 
 
 def _landau_prefactor(params: SystemParams) -> float:
@@ -231,25 +203,20 @@ def _landau_prefactor(params: SystemParams) -> float:
 
 
 def _landau_pair(s, params: SystemParams):
-    """(s, I(s), I'(s)): s as an array, or kept a Python complex for u_t > 0.
+    """I(s) and I'(s) on an array s, Re(s) >= 0.
 
     I(s) = pref (2i / u_t^2) (1 + zeta Z), zeta = i s / u_t, so both come
     from one evaluation of 1 + zeta Z; the cold gas gives pref i / s^2.
     """
-    if isinstance(s, complex) and params.u_t > 0.0:
-        if s.real < -1e-15:
-            raise DomainError("landau_integral requires Re(s) >= 0")
-        g, dg = _response_scalar(1j * s / params.u_t)
-    else:
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real < -1e-15):
-            raise DomainError("landau_integral requires Re(s) >= 0")
-        if params.u_t == 0.0:
-            pref = _landau_prefactor(params)
-            return s, pref * 1j / s**2, pref * (-2j) / s**3
-        g, dg = _response(1j * s / params.u_t)
-    k = 2j * _landau_prefactor(params) / params.u_t**2
-    return s, k * g, k * dg * (1j / params.u_t)
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real < -1e-15):
+        raise DomainError("landau_integral requires Re(s) >= 0")
+    pref = _landau_prefactor(params)
+    if params.u_t == 0.0:
+        return pref * 1j / s**2, pref * (-2j) / s**3
+    g, dg = _response(1j * s / params.u_t)
+    k = 2j * pref / params.u_t**2
+    return k * g, k * dg * (1j / params.u_t)
 
 
 def landau_integral(s, params: SystemParams):
@@ -258,40 +225,44 @@ def landau_integral(s, params: SystemParams):
     Vectorized over s.  For u_t = 0 the cold-gas limit i/s^2 (times the
     prefactor) is returned.
     """
-    return _landau_pair(np.asarray(s, dtype=complex), params)[1]
+    return _landau_pair(s, params)[0]
 
 
-def _dispersion_terms(s, i_s, a_asym, s_total, delta: float):
-    """The two terms of D(s), delta^2 + (s+1)^2 and [(s+1) A - i delta S] I(s).
+_ZERO_LEVEL = 1e-12  # |D| below this times |delta^2 + (s+1)^2| is a zero
 
-    A and S are numbers, or arrays that broadcast against s (one per cell).
+
+def _dispersion_values(s, i_s, di_s, a_asym, s_total, delta: float):
+    """D(s), its rounding level and D'(s), given I(s) and I'(s).
+
+    |D| at or below the level is D = 0 up to rounding: the pumped term then
+    cancels the free one, delta^2 + (s+1)^2, so both have its size.  A and S
+    are numbers, or arrays that broadcast against s.
     """
     s1 = s + 1.0
-    return delta**2 + s1**2, (s1 * a_asym - 1j * delta * s_total) * i_s
+    free = delta**2 + s1**2
+    coupling = s1 * a_asym - 1j * delta * s_total
+    d_prime = 2.0 * s1 + a_asym * i_s + coupling * di_s
+    return free + coupling * i_s, _ZERO_LEVEL * np.abs(free), d_prime
 
 
-def _dispersion_pair(s, a_asym, s_total, params: SystemParams):
-    """D(s) and D'(s), with I(s) and I'(s) from one evaluation of 1 + zeta Z."""
-    s, i_s, di_s = _landau_pair(s, params)
-    s1 = s + 1.0
-    coupling = s1 * a_asym - 1j * params.delta * s_total
-    return params.delta**2 + s1**2 + coupling * i_s, 2.0 * s1 + a_asym * i_s + coupling * di_s
+def _dispersion_at(s, point: PumpPoint, params: SystemParams):
+    """_dispersion_values at s, a number or an array; a number is evaluated
+    as a length-1 array, so it matches the array path bitwise."""
+    s = np.asarray(s, dtype=complex)
+    flat = s.reshape(-1)
+    values = _dispersion_values(flat, *_landau_pair(flat, params),
+                                point.a_asym, point.s_total, params.delta)
+    return [v.reshape(s.shape)[()] for v in values]
 
 
 def dispersion(s, point: PumpPoint, params: SystemParams):
-    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s).
-
-    A Python complex s is evaluated in Python arithmetic when u_t > 0;
-    anything else as an array.
-    """
-    s, i_s, _ = _landau_pair(s, params)
-    free, pumped = _dispersion_terms(s, i_s, point.a_asym, point.s_total, params.delta)
-    return free + pumped
+    """D(s) = delta^2 + (s+1)^2 + [(s+1) A - i delta S] I(s), Re(s) >= 0."""
+    return _dispersion_at(s, point, params)[0]
 
 
 def dispersion_derivative(s, point: PumpPoint, params: SystemParams):
     """D'(s), with I(s) and I'(s) from one evaluation of 1 + zeta Z."""
-    return _dispersion_pair(s, point.a_asym, point.s_total, params)[1]
+    return _dispersion_at(s, point, params)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +280,7 @@ _G_SUP = 1.8227
 _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
-_ZERO_LEVEL = 1e-12  # |D| below this times |delta^2 + (s+1)^2| is a zero
 _CHUNK = 32  # cells per array pass of the contour count
-
-
-def _dispersion_with_level(s, i_s, point: PumpPoint, delta: float):
-    """D(s) given I(s), and its rounding level _ZERO_LEVEL |delta^2 + (s+1)^2|.
-
-    |D| at or below that level is D = 0 up to rounding: the pumped term
-    then cancels the free one, so both have the size of the free one.
-    """
-    free, pumped = _dispersion_terms(s, i_s, point.a_asym, point.s_total, delta)
-    return free + pumped, _ZERO_LEVEL * np.abs(free)
 
 
 def _search_radii(points, params: SystemParams) -> list[float]:
@@ -346,7 +306,7 @@ def _search_radii(points, params: SystemParams) -> list[float]:
 
 @functools.lru_cache(maxsize=64)
 def _contour_table(physics: SystemParams, radius: float, shift: float):
-    """Closed contour samples s with I(s), shared by every pump cell.
+    """Closed contour samples s with I(s) and I'(s), shared by every pump cell.
 
     The contour runs down the line Re s = shift * radius from i radius to
     -i radius, then back along the semicircle |s| = radius in Re s >= 0;
@@ -358,7 +318,7 @@ def _contour_table(physics: SystemParams, radius: float, shift: float):
     s = np.concatenate(
         [radius * (shift + 1j * t), radius * np.exp(1j * theta), [radius * (shift + 1j)]]
     )
-    table = (s, landau_integral(s, physics))
+    table = (s, *_landau_pair(s, physics))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -420,7 +380,8 @@ def _newton_polish(s0, a_asym, s_total, radius, params: SystemParams,
         z.real[z.real < 0.0] = 0.0
         keep = np.abs(z) < radius[live]
         live, z = live[keep], z[keep]
-        f, df = _dispersion_pair(z, a_asym[live], s_total[live], params)
+        f, _, df = _dispersion_values(z, *_landau_pair(z, params), a_asym[live], s_total[live],
+                                      params.delta)
         keep = df != 0
         live, z = live[keep], z[keep]
         step = f[keep] / df[keep]
@@ -462,15 +423,14 @@ def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     """
     physics = replace(params, eta_plus=0j, eta_minus=0j, seed=0)
 
-    def fun(z):
-        return _dispersion_with_level(z, landau_integral(z, params), point, params.delta)
+    def fun(z, *pair):  # pair: I and I' at z where the cached table has them
+        return _dispersion_values(z, *(pair or _landau_pair(z, params)),
+                                  point.a_asym, point.s_total, params.delta)[:2]
 
     for shift in _AXIS_SHIFTS:
-        s, i_s = _contour_table(physics, radius, shift)
+        s, *pair = _contour_table(physics, radius, shift)
         try:
-            poly, d_poly, dphi = _refined_contour(
-                fun, s, *_dispersion_with_level(s, i_s, point, params.delta)
-            )
+            poly, d_poly, dphi = _refined_contour(fun, s, *fun(s, *pair))
         except RuntimeError:
             continue
         return int(round(dphi.sum() / (2.0 * np.pi))), poly, d_poly, dphi
@@ -512,7 +472,7 @@ def _chunk_starts(points, params: SystemParams, radius: float) -> list:
     Returns per cell (count, starts, took _cell_starts) or the RuntimeError
     of a failed count.
     """
-    s, i_s = _contour_table(replace(params, eta_plus=0j, eta_minus=0j, seed=0), radius, 0.0)
+    s, i_s, _ = _contour_table(replace(params, eta_plus=0j, eta_minus=0j, seed=0), radius, 0.0)
     s1 = s + 1.0
     free = params.delta**2 + s1**2
     u, v = s1 * i_s, -1j * params.delta * i_s  # D = free + A u + S v

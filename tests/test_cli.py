@@ -70,6 +70,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         assert len(err.value.violations) >= 2
+        # solver sizes and the snapshot interval are range-checked with the rest
+        sizes = MINIMAL + ("\n[vlasov]\nnx = 0\nnv = 1\nsnapshot_every = -0.5\n"
+                           "\n[boundary]\nn_omega = -1\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(sizes)
+        assert [v.split(" must")[0] for v in err.value.violations] == [
+            "vlasov.nx", "vlasov.nv", "boundary.n_omega", "vlasov.snapshot_every"]
+        smallest = MINIMAL + "\n[vlasov]\nnx = 1\nnv = 2\n\n[boundary]\nn_omega = 1\n"
+        assert parse_config(smallest).options["vlasov"]["nv"] == 2
 
     def test_slow_beam_rejects_asymmetric(self):
         with pytest.raises(ConfigError) as err:
@@ -311,12 +320,27 @@ class TestRunExperiment:
         ).read_bytes()
 
     def test_resume_needs_manifest(self, tmp_path):
+        """No manifest, or one that cannot be read, gets a full recompute."""
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
         text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
         cfg = parse_config(text)
         cli.run_experiment(cfg, tmp_path)
-        (tmp_path / "manifest.json").unlink()
-        assert cli.run_experiment(cfg, tmp_path).results["n_resumed"] == 0
+        path = tmp_path / "manifest.json"
+        damages = {
+            "deleted": None,
+            "truncated": lambda m: '{"truncated',  # what a kill during the write leaves
+            "not an object": lambda m: "[1, 2]",
+            "missing keys": lambda m: '{"config": {}}',
+            "unknown key": lambda m: json.dumps({**m, "bogus": 1}),
+            "wrong type": lambda m: json.dumps({**m, "files": []}),
+        }
+        for name, damage in damages.items():
+            if damage is None:
+                path.unlink()
+            else:
+                path.write_text(damage(json.loads(path.read_text())))
+            m = cli.run_experiment(cfg, tmp_path)
+            assert (m.results["n_resumed"], m.results["n_computed"]) == (0, 2), name
 
     def test_errored_cells_counted(self, tmp_path, monkeypatch):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
@@ -355,10 +379,17 @@ class TestMain:
     def test_missing_config_file(self, capsys):
         assert cli.main(["nbody", "--config", "/nonexistent.ini"]) == 3
 
-    def test_invalid_config(self, tmp_path):
+    def test_invalid_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nmode = nbody\n")
         assert cli.main(["nbody", "--config", str(bad)]) == 1
+        vlasov_text = MINIMAL.replace("mode = nbody", "mode = vlasov")
+        for tail in ("\n[vlasov]\nnx = 0\n", "\n[vlasov]\nnx = -4\n", "\n[vlasov]\nnv = 1\n",
+                     "\n[vlasov]\nsnapshot_every = 0\n", "\n[boundary]\nn_omega = -1\n"):
+            bad.write_text(vlasov_text + tail)
+            capsys.readouterr()
+            assert cli.main(["vlasov", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
+            assert "must be" in capsys.readouterr().err
 
     def test_mode_mismatch(self, tmp_path):
         good = tmp_path / "ok.ini"
@@ -407,13 +438,14 @@ class TestMain:
 
 def test_runs_never_import_scipy(tmp_path):
     """numpy is the only runtime dependency: a fresh interpreter that parses
-    configs and runs the N-body, Vlasov, phase-diagram and boundary modes
-    never imports scipy."""
+    configs and runs the N-body, Vlasov, phase-diagram, boundary and
+    classify modes never imports scipy."""
     tails = {
         "nbody": "",
         "vlasov": "\n[vlasov]\nnx = 16\nnv = 32\n",
         "phase-diagram": "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0, 0.8\n",
         "stability-boundary": "\n[boundary]\nn_omega = 50\n",
+        "classify": "",
     }
     texts = {m: MINIMAL.replace("mode = nbody", f"mode = {m}") + t for m, t in tails.items()}
     code = (

@@ -23,7 +23,8 @@ def _winding_number(point, p, corners, n0=64):
     zero.
     """
     def fun(z):
-        return st._dispersion_with_level(z, st.landau_integral(z, p), point, p.delta)
+        return st._dispersion_values(z, *st._landau_pair(z, p), point.a_asym, point.s_total,
+                                     p.delta)[:2]
 
     ts = np.linspace(0.0, 1.0, n0, endpoint=False)
     pts = np.concatenate(
@@ -90,12 +91,6 @@ class TestFaddeeva:
         ref = wofz(z)
         assert np.max(np.abs(st._faddeeva(z) - ref) / np.abs(ref)) <= 2e-14
 
-    def test_scalar_path_matches_array_path(self):
-        z = self._upper_half_plane(5_000, 6)
-        scalar = np.array([st._faddeeva_scalar(complex(v)) for v in z])
-        array = st._faddeeva(z)
-        assert np.max(np.abs(scalar - array) / np.abs(array)) <= 1e-15
-
     # 1 + zeta Z(zeta) at zeta = i s / u_t, s = 1.31 - 0.29i, to 40 digits:
     #   mp.dps = 60; zeta = 1j * mpc("1.31", "-0.29") / mpf(u_t)
     #   1 + zeta * 1j * sqrt(pi) * exp(-zeta**2) * erfc(-1j * zeta)
@@ -110,20 +105,7 @@ class TestFaddeeva:
     def test_response_matches_40_digit_values(self, u_t, ref):
         zeta = 1j * (1.31 - 0.29j) / u_t
         array = complex(st._response(np.array(zeta))[0])
-        scalar = st._response_scalar(zeta)[0]
         assert abs(array - ref) <= 1e-13 * abs(ref)
-        assert abs(scalar - ref) <= 1e-13 * abs(ref)
-
-    @pytest.mark.parametrize("u_t", [1e-3, 0.5, 3.0, 30.0])
-    def test_scalar_dispersion_matches_array(self, u_t):
-        p = make_params(u_t=u_t)
-        point = st.PumpPoint(20.0 / _prefactor(p), 6.0 / _prefactor(p))
-        for s in (0.02 + 0.3j, 1.31 - 0.29j, 5.0 + 0j, 40.0 - 20.0j, 0.9j):
-            for fun in (st.dispersion, st.dispersion_derivative):
-                scalar = fun(s, point, p)
-                array = complex(fun(np.array(s), point, p))
-                assert type(scalar) is complex
-                assert abs(scalar - array) <= 1e-13 * max(abs(array), 1.0)
 
     @pytest.mark.parametrize("u_t", [1e-3, 0.5, 3.0, 30.0])
     def test_derivative_matches_difference_quotient(self, u_t):
@@ -218,7 +200,7 @@ class TestRootSearch:
         """_G_SUP is sup |s^2 I(s)| / prefactor on the axis, rounded up."""
         # on s = i omega, zeta = i s / u_t is real and s^2 K = -2i zeta^2 (1 + zeta Z)
         x = np.linspace(-60.0, 60.0, 1_200_001)
-        g = -2j * x**2 * (1.0 + x * st._plasma_z(x))
+        g = -2j * x**2 * st._response(x)[0]
         assert np.abs(g).max() <= st._G_SUP < np.abs(g).max() + 1e-4
 
     @pytest.mark.parametrize("u_t", [0.5, 3.0, 30.0])
@@ -429,7 +411,8 @@ class TestBatch:
     @pytest.mark.parametrize("u_t", [0.05, 3.0])
     def test_array_path_is_length_independent(self, u_t):
         """Element i of an array evaluation is the length-1 evaluation of
-        element i, on both branches of 1 + zeta Z."""
+        element i, on both branches of 1 + zeta Z; D and D' at a Python
+        complex s are the element of the array evaluation."""
         p = make_params(u_t=u_t)
         rng = np.random.default_rng(11)
         r = 10.0 ** rng.uniform(-2.0, 2.0, 300)
@@ -444,6 +427,11 @@ class TestBatch:
         w_whole = st._faddeeva(zeta[np.abs(zeta) < 50])
         w_single = np.concatenate([st._faddeeva(z[None]) for z in zeta[np.abs(zeta) < 50]])
         assert w_whole.tobytes() == w_single.tobytes()
+        point = st.PumpPoint(20.0 / _prefactor(p), 6.0 / _prefactor(p))
+        for fun in (st.dispersion, st.dispersion_derivative):
+            whole = fun(s, point, p)
+            single = np.array([fun(complex(v), point, p) for v in s])
+            assert whole.tobytes() == single.tobytes()
 
     @staticmethod
     def _check_batch(points, p, seed=0):
@@ -502,14 +490,14 @@ class TestBatch:
         clean = [_result_key(r) for r in st.classify_regimes(points, p)]
         victim = points[7]
         assert clean[7][0] != "stable"
-        pair = st._dispersion_pair
+        values = st._dispersion_values
 
-        def flat_at_victim(s, a_asym, s_total, params):
-            f, df = pair(s, a_asym, s_total, params)
+        def flat_at_victim(s, i_s, di_s, a_asym, s_total, delta):
+            f, level, df = values(s, i_s, di_s, a_asym, s_total, delta)
             hit = (a_asym == victim.a_asym) & (s_total == victim.s_total)
-            return f, np.where(hit, 0.0, df)
+            return f, level, np.where(hit, 0.0, df)
 
-        monkeypatch.setattr(st, "_dispersion_pair", flat_at_victim)
+        monkeypatch.setattr(st, "_dispersion_values", flat_at_victim)
         batch = self._check_batch(points, p, seed=3)
         assert batch[7] == (
             "RuntimeError", "found 0 distinct unstable roots for a winding count of 1")
