@@ -1,7 +1,8 @@
 """Command-line harness: presets, experiment execution, sweeps, persistence.
 
 Subcommands mirror the run modes (nbody, vlasov, stability-boundary,
-phase-diagram, classify, slow-beam, validate-wave).  Each run writes its
+phase-diagram); classify, slow-beam and validate-wave are old names of
+nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
 CSV artifacts plus a ``manifest.json`` into the output directory.  CSV is
 the data contract; SVG plots are optional (``--svg``, needs matplotlib).
 
@@ -16,7 +17,7 @@ import csv
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bgk, nbody, stability, vlasov
-from .config import MODES, ConfigError, RunConfig, RunManifest, parse_config
+from .config import ALIASES, MODES, ConfigError, RunConfig, RunManifest, parse_config
 from .core import DomainError, IntegrationDivergedError, TimeSeries, step_count
 
 __all__ = ["main", "run_experiment", "load_preset", "preset_names"]
@@ -118,52 +119,47 @@ def _write_series(series: TimeSeries, outdir: Path, manifest: RunManifest) -> No
 # ---------------------------------------------------------------------------
 
 
-def _nbody_series(cfg: RunConfig, manifest: RunManifest) -> TimeSeries:
-    init = nbody.InitialCondition(**cfg.options["nbody"])  # the [nbody] keys are its fields
-    return _integrate(
-        cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
-        sample_every=cfg.sample_every, dt=cfg.dt,
-    )
+def _series_results(cfg: RunConfig, series: TimeSeries, manifest: RunManifest) -> None:
+    """Record what a sampled run says about its regime.
+
+    Every run gets its ``classify_run`` label, the trailing means of |theta|
+    and v_cm, and the analytic regime of its (S, A) (``error:<Type>`` if
+    the root search fails).  A wave or runaway label adds the BGK
+    ``wave_report`` when the trailing window is stationary enough to
+    validate, and a drifting start (``mean_u`` != 0) its slowing fraction.
+    """
+    r = manifest.results
+    label = nbody.classify_run(series) if len(series) >= 8 else "unclassified"
+    r["classification"] = label
+    w = series.trailing_window()
+    r["trailing_abs_theta"] = float(np.mean(np.abs(series.theta[w])))
+    r["trailing_v_cm"] = float(np.mean(series.v_cm[w]))
+    p = cfg.params
+    (analytic,) = stability.classify_regimes([stability.PumpPoint(p.s_total, p.a_asym)], p)
+    if isinstance(analytic, Exception):
+        r["analytic_regime"] = f"error:{type(analytic).__name__}"
+    else:
+        r["analytic_regime"] = analytic.regime
+        if analytic.growth is not None:
+            r["analytic_growth_re"] = float(analytic.growth.real)
+            r["analytic_growth_im"] = float(analytic.growth.imag)
+    if label in ("ordered-wave", "carl"):
+        with suppress(DomainError):  # raised for a trailing window that is not stationary
+            report = vars(bgk.validate_wave(series, p))
+            r["wave_report"] = {k: v if isinstance(v, bool) else float(v) for k, v in report.items()}
+    mean_u = cfg.options[cfg.mode]["mean_u"]  # the [nbody] or [vlasov] key
+    if mean_u != 0:
+        r["slowing_fraction"] = 1.0 - abs(r["trailing_v_cm"]) / abs(mean_u)
 
 
 def _mode_nbody(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    series = _nbody_series(cfg, manifest)
-    _write_series(series, outdir, manifest)
-    manifest.results["classification"] = (
-        nbody.classify_run(series) if len(series) >= 8 else "unclassified"
+    init = nbody.InitialCondition(**cfg.options["nbody"])  # the [nbody] keys are its fields
+    series = _integrate(
+        cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
+        sample_every=cfg.sample_every, dt=cfg.dt,
     )
-    w = series.trailing_window()
-    manifest.results["trailing_abs_theta"] = float(np.mean(np.abs(series.theta[w])))
-    manifest.results["trailing_v_cm"] = float(np.mean(series.v_cm[w]))
-
-
-def _mode_classify(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    _mode_nbody(cfg, outdir, manifest)
-    point = stability.PumpPoint(cfg.params.s_total, cfg.params.a_asym)
-    analytic = stability.classify_regime(point, cfg.params)
-    manifest.results["analytic_regime"] = analytic.regime
-    if analytic.growth is not None:
-        manifest.results["analytic_growth_re"] = float(analytic.growth.real)
-        manifest.results["analytic_growth_im"] = float(analytic.growth.imag)
-
-
-def _mode_slow_beam(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    series = _nbody_series(cfg, manifest)  # parse_config checks mean_u != 0 and A = 0
     _write_series(series, outdir, manifest)
-    v0 = cfg.options["nbody"]["mean_u"]
-    v_final = float(np.mean(series.v_cm[series.trailing_window()]))
-    manifest.results["v_initial"] = float(v0)
-    manifest.results["v_final"] = v_final
-    manifest.results["slowing_fraction"] = 1.0 - abs(v_final) / abs(v0)
-
-
-def _mode_validate_wave(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    series = _nbody_series(cfg, manifest)
-    _write_series(series, outdir, manifest)
-    report = bgk.validate_wave(series, cfg.params)
-    manifest.results["wave_report"] = {
-        k: v if isinstance(v, bool) else float(v) for k, v in report.__dict__.items()
-    }
+    _series_results(cfg, series, manifest)
 
 
 def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
@@ -181,9 +177,7 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
     final = snaps[-1][1]
     manifest.timings["slabs"] = vlasov.slab_count(final.nx, final.nv)
     manifest.results["lost_mass"] = float(final.lost_mass)
-    manifest.results["classification"] = (
-        nbody.classify_run(series) if len(series) >= 8 else "unclassified"
-    )
+    _series_results(cfg, series, manifest)
 
 
 def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
@@ -209,9 +203,9 @@ def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 
 def _dynamic_label(args) -> str:
     """N-body label of one cell, or ``error:<Type>`` if its run fails."""
-    params, t_end, dt, sample_every = args
+    params, init, t_end, dt, sample_every = args
     try:
-        series = nbody.run(params, t_end=t_end, dt=dt, sample_every=sample_every)
+        series = nbody.run(params, init=init, t_end=t_end, dt=dt, sample_every=sample_every)
         return nbody.classify_run(series)
     except (DomainError, IntegrationDivergedError, RuntimeError) as exc:
         return f"error:{type(exc).__name__}"
@@ -237,8 +231,9 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
     labels = {}
     if cfg.options["sweep"]["dynamic"]:
         todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
-        runs = [(cfg.params.with_pump_split(*cells[i]), cfg.t_end, cfg.dt, cfg.sample_every)
-                for i in todo]
+        init = nbody.InitialCondition(**cfg.options["nbody"])
+        runs = [(cfg.params.with_pump_split(*cells[i]), init, cfg.t_end, cfg.dt,
+                 cfg.sample_every) for i in todo]
         if threads > 1 and runs:
             with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
                 labels = dict(zip(todo, pool.map(_dynamic_label, runs)))
@@ -387,9 +382,6 @@ _MODE_IMPL = {
     "nbody": _mode_nbody,
     "vlasov": _mode_vlasov,
     "stability-boundary": _mode_boundary,
-    "classify": _mode_classify,
-    "slow-beam": _mode_slow_beam,
-    "validate-wave": _mode_validate_wave,
 }
 
 
@@ -445,15 +437,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
     for mode in MODES:
-        sp = sub.add_parser(mode, help=f"run in {mode} mode")
+        aliases = [old for old, new in ALIASES.items() if new == mode]
+        sp = sub.add_parser(mode, aliases=aliases, help=f"run in {mode} mode")
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", help="path to an INI config file")
         src.add_argument("--preset", help="name of a bundled preset")
         sp.add_argument("--out", help="output directory "
                         "(default: $RINGCARL_OUT/<mode> or ./runs/<mode>)")
         sp.add_argument("--seed", type=int, help="override run.seed")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the N-body runs of a dynamic sweep")
+        if mode == "phase-diagram":
+            sp.add_argument("--threads", type=int, default=1,
+                            help="worker processes for the N-body runs of a dynamic sweep")
         sp.add_argument("--svg", action="store_true", help="also emit SVG plots")
     lp = sub.add_parser("presets", help="list bundled presets")
     lp.set_defaults(list_presets=True)
@@ -484,7 +478,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.mode != args.command:
+    if cfg.mode != ALIASES.get(args.command, args.command):
         print(
             f"error: config mode {cfg.mode!r} does not match "
             f"subcommand {args.command!r}",
@@ -496,7 +490,7 @@ def main(argv=None) -> int:
         root = os.environ.get("RINGCARL_OUT", "runs")
         out = str(Path(root) / cfg.mode)
     try:
-        manifest = run_experiment(cfg, out, threads=args.threads, svg=args.svg)
+        manifest = run_experiment(cfg, out, threads=getattr(args, "threads", 1), svg=args.svg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,17 +23,12 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "MODES",
+    "ALIASES",
 ]
 
-MODES = (
-    "nbody",
-    "vlasov",
-    "stability-boundary",
-    "phase-diagram",
-    "classify",
-    "slow-beam",
-    "validate-wave",
-)
+MODES = ("nbody", "vlasov", "stability-boundary", "phase-diagram")
+# old mode names, resolved at parse time; slow-beam keeps its preconditions
+ALIASES = {"classify": "nbody", "slow-beam": "nbody", "validate-wave": "nbody"}
 
 # section -> {key: (type tag, default)}; a default of None means unset, and
 # parse_config lists the keys that must be given
@@ -109,8 +104,8 @@ def _parse_value(tag: str, raw: str, where: str, errors: list):
         if tag == "str":
             return raw
         if tag == "mode":
-            if raw not in MODES:
-                raise ValueError(f"must be one of {', '.join(MODES)}")
+            if raw not in MODES and raw not in ALIASES:
+                raise ValueError(f"must be one of {', '.join(MODES + tuple(ALIASES))}")
             return raw
         if tag == "floatlist":
             return [float(x) for x in raw.replace(",", " ").split()]
@@ -199,7 +194,8 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    mode = get("run", "mode")
+    given = get("run", "mode")
+    mode = ALIASES.get(given, given)
     n = get("physics", "n_particles")
     try:
         base = SystemParams.from_pump_split(
@@ -251,6 +247,9 @@ def parse_config(text: str) -> RunConfig:
                     ("sample_every", get("run", "sample_every"))):
         if not v > 0:
             errors.append(f"run.{name} must be > 0, got {v}")
+        elif name == "sample_every" and dt > 0 and v < dt:
+            # split_run rounds intervals to whole steps, at least one
+            errors.append(f"run.sample_every must be >= run.dt = {dt:g}, got {v}")
     for section, key, low in (("vlasov", "nx", 1), ("vlasov", "nv", 2),
                               ("boundary", "n_omega", 1)):
         if get(section, key) < low:
@@ -258,10 +257,12 @@ def parse_config(text: str) -> RunConfig:
     snapshot_every = get("vlasov", "snapshot_every")
     if snapshot_every is not None and not snapshot_every > 0:
         errors.append(f"vlasov.snapshot_every must be > 0, got {snapshot_every}")
+    elif snapshot_every is not None and dt > 0 and snapshot_every < dt:
+        errors.append(f"vlasov.snapshot_every must be >= run.dt = {dt:g}, got {snapshot_every}")
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")
-    if mode == "slow-beam":
+    if given == "slow-beam":
         if get("nbody", "mean_u") == 0.0:
             errors.append("slow-beam mode needs nbody.mean_u != 0")
         if abs(params.a_asym) > 1e-9 * max(params.s_total, 1.0):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringcarl import cli, stability, vlasov
-from ringcarl.config import ConfigError, RunManifest, parse_config, sha256_file
+from ringcarl import cli, nbody, stability, vlasov
+from ringcarl.config import ALIASES, ConfigError, RunManifest, parse_config, sha256_file
 
 MINIMAL = """
 [run]
@@ -29,6 +29,13 @@ a_over_s = 0.25
 
 SLOW_BEAM = MINIMAL.replace("mode = nbody", "mode = slow-beam").replace(
     "a_over_s = 0.25", "a_over_s = 0.0") + "\n[nbody]\nmean_u = 0.5\n"
+
+# N = 2048 keeps the shot noise of |theta| below nbody.THETA_MIN: a stable run
+QUIET = MINIMAL.replace("n_particles = 64", "n_particles = 2048")
+# far past the CARL bound v_cm runs away faster than bgk.STATIONARY_SLOPE_TOL
+RUNAWAY = QUIET.replace("t_end = 1.0", "t_end = 10.0").replace("dt = 0.05", "dt = 0.01").replace(
+    "s_total = 8.0", "s_over_sc = 8.0").replace("a_over_s = 0.25", "a_over_s = 0.95") + (
+    "\n[nbody]\ncosine_eps = 0.05\n")
 
 
 class TestParseConfig:
@@ -178,14 +185,55 @@ class TestRunExperiment:
 
     def test_wave_report_flags_are_json_booleans(self, tmp_path):
         """settled and direction_ok reach the manifest as true/false, not 1.0/0.0."""
-        text = MINIMAL.replace("mode = nbody", "mode = validate-wave").replace(
-            "t_end = 1.0", "t_end = 4.0")
-        cli.run_experiment(parse_config(text), tmp_path)
-        report = json.loads((tmp_path / "manifest.json").read_text())["results"]["wave_report"]
-        assert report["settled"] is True
-        assert report["direction_ok"] is False
-        assert all(type(v) is float for k, v in report.items()
-                   if k not in ("settled", "direction_ok"))
+        for mode in ("validate-wave", "nbody"):  # the old name runs the same mode
+            text = MINIMAL.replace("mode = nbody", f"mode = {mode}").replace(
+                "t_end = 1.0", "t_end = 4.0")
+            cli.run_experiment(parse_config(text), tmp_path / mode)
+            results = json.loads((tmp_path / mode / "manifest.json").read_text())["results"]
+            assert results["classification"] == "ordered-wave"
+            report = results["wave_report"]
+            assert report["settled"] is True
+            assert report["direction_ok"] is False
+            assert all(type(v) is float for k, v in report.items()
+                       if k not in ("settled", "direction_ok"))
+
+    def test_series_results(self, tmp_path):
+        """An N-body run records its label, the analytic regime of its (S, A)
+        and, from a drifting start, the slowing fraction."""
+        text = MINIMAL.replace("t_end = 1.0", "t_end = 2.0") + "\n[nbody]\nmean_u = 0.5\n"
+        r = cli.run_experiment(parse_config(text), tmp_path).results
+        assert r["classification"] in ("stable", "ordered-wave", "carl")
+        assert r["analytic_regime"] == "stable"  # S = 8 lies below S_c
+        assert "analytic_growth_re" not in r
+        assert r["slowing_fraction"] == pytest.approx(1 - abs(r["trailing_v_cm"]) / 0.5)
+        unstable = text.replace("s_total = 8.0", "s_over_sc = 2.0")
+        r = cli.run_experiment(parse_config(unstable), tmp_path / "unstable").results
+        assert r["analytic_regime"] == "bgk-ordered" and r["analytic_growth_re"] > 0
+        # the Vlasov mode records the same keys from its [vlasov] section
+        text = text.replace("mode = nbody", "mode = vlasov").replace(
+            "[nbody]", "[vlasov]\nnx = 16\nnv = 32")
+        r = cli.run_experiment(parse_config(text), tmp_path / "vlasov").results
+        assert {"classification", "analytic_regime", "slowing_fraction", "lost_mass"} <= r.keys()
+
+    @pytest.mark.parametrize("text, label", [(QUIET, "stable"), (RUNAWAY, "carl")],
+                             ids=["stable", "runaway"])
+    def test_wave_report_rule(self, tmp_path, text, label):
+        """No wave report for a stable run, nor for a runaway whose trailing
+        window drifts too fast to validate: both runs exit 0."""
+        path = tmp_path / "run.ini"
+        path.write_text(text.replace("mode = nbody", "mode = validate-wave"))
+        assert cli.main(["validate-wave", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+        results = json.loads((tmp_path / "r/manifest.json").read_text())["results"]
+        assert results["classification"] == label
+        assert "wave_report" not in results
+
+    def test_failed_root_search_is_recorded(self, tmp_path, monkeypatch):
+        """A failed analytic root search is an ``error:`` label, not a failed run."""
+        monkeypatch.setattr(stability, "classify_regimes",
+                            lambda points, params, stats=None: [RuntimeError("no roots")])
+        r = cli.run_experiment(parse_config(MINIMAL), tmp_path).results
+        assert r["analytic_regime"] == "error:RuntimeError"
+        assert "analytic_growth_re" not in r and "classification" in r
 
     def test_boundary_mode(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
@@ -301,6 +349,22 @@ class TestRunExperiment:
         rows = (tmp_path / "one/phase_diagram.csv").read_text().splitlines()[1:]
         assert all(len(r.split(",")[2].split("/")) == 2 for r in rows)
 
+    def test_dynamic_sweep_applies_nbody_keys(self, tmp_path, monkeypatch):
+        """Each N-body run of a dynamic sweep is seeded by the [nbody] keys."""
+        text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+        text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\ndynamic = true\n"
+        text += "\n[nbody]\ncosine_eps = 0.2\nquiet_velocities = true\n"
+        inits = []
+        run = nbody.run
+
+        def recorded(params, init=None, **kwargs):
+            inits.append(init)
+            return run(params, init=init, **kwargs)
+
+        monkeypatch.setattr(nbody, "run", recorded)
+        cli.run_experiment(parse_config(text), tmp_path, threads=1)
+        assert inits == 2 * [nbody.InitialCondition(cosine_eps=0.2, quiet_velocities=True)]
+
     @pytest.mark.parametrize("change", [
         ("t_end = 1.0", "t_end = 0.5"),
         ("u_t = 3.0", "u_t = 2.0"),
@@ -384,17 +448,46 @@ class TestMain:
         bad.write_text("[run]\nmode = nbody\n")
         assert cli.main(["nbody", "--config", str(bad)]) == 1
         vlasov_text = MINIMAL.replace("mode = nbody", "mode = vlasov")
-        for tail in ("\n[vlasov]\nnx = 0\n", "\n[vlasov]\nnx = -4\n", "\n[vlasov]\nnv = 1\n",
-                     "\n[vlasov]\nsnapshot_every = 0\n", "\n[boundary]\nn_omega = -1\n"):
-            bad.write_text(vlasov_text + tail)
+        # intervals below dt (0.05) would round to one step each
+        texts = [vlasov_text + tail for tail in (
+            "\n[vlasov]\nnx = 0\n", "\n[vlasov]\nnx = -4\n", "\n[vlasov]\nnv = 1\n",
+            "\n[vlasov]\nsnapshot_every = 0\n", "\n[boundary]\nn_omega = -1\n",
+            "\n[vlasov]\nsnapshot_every = 0.001\n")]
+        texts.append(vlasov_text.replace("sample_every = 0.1", "sample_every = 0.001"))
+        for text in texts:
+            bad.write_text(text)
             capsys.readouterr()
             assert cli.main(["vlasov", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
             assert "must be" in capsys.readouterr().err
 
     def test_mode_mismatch(self, tmp_path):
         good = tmp_path / "ok.ini"
-        good.write_text(MINIMAL)
-        assert cli.main(["vlasov", "--config", str(good)]) == 1
+        for mode, command in (("nbody", "vlasov"), ("validate-wave", "vlasov"),
+                              ("vlasov", "classify"), ("classify", "phase-diagram")):
+            good.write_text(MINIMAL.replace("mode = nbody", f"mode = {mode}"))
+            assert cli.main([command, "--config", str(good)]) == 1
+
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    def test_old_mode_names_run_nbody(self, tmp_path, alias):
+        """An old mode name, in run.mode or as the subcommand, runs nbody;
+        the manifest keeps the config's text."""
+        text = SLOW_BEAM if alias == "slow-beam" else MINIMAL
+        for given, command in ((alias, "nbody"), ("nbody", alias), (alias, alias)):
+            path = tmp_path / f"{given}-{command}.ini"
+            path.write_text(text.replace("mode = slow-beam", "mode = nbody").replace(
+                "mode = nbody", f"mode = {given}"))
+            out = tmp_path / f"{given}-{command}"
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+            m = json.loads((out / "manifest.json").read_text())
+            assert (m["mode"], m["config"]["run"]["mode"]) == ("nbody", given)
+            assert "classification" in m["results"]
+
+    def test_threads_only_for_phase_diagram(self):
+        parser = cli._build_parser()
+        assert parser.parse_args(["phase-diagram", "--preset", "x", "--threads", "2"]).threads == 2
+        for command in ("nbody", "classify", "vlasov", "stability-boundary"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--preset", "x", "--threads", "2"])
 
     def test_successful_run_and_seed_override(self, tmp_path, capsys):
         good = tmp_path / "ok.ini"
