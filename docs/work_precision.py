@@ -149,8 +149,10 @@ def _offset_groups(base: np.ndarray):
             yield int(b), idx
 
 
-def spline_shift_u(f, shift_cells):
+def spline_shift_u(f, shift_cells, space=None):
     """The earlier u kick: out[i, j] = f(i, j - shift_i) by cubic B-spline.
+
+    It takes the run's workspace ``space`` as the FFT kick does, unused.
 
     f is zero-padded before the prefilter, so the coefficients and the 4-tap
     evaluation see the same boundary extension; the rows sharing an integer

@@ -6,7 +6,8 @@ nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
 CSV artifacts plus a ``manifest.json`` into the output directory.  CSV is
 the data contract; SVG plots are optional (``--svg``, needs matplotlib).
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O.
+Exit codes: 0 success (also --help and --version), 1 validation or usage
+error, 2 numerical failure, 3 I/O.
 """
 
 from __future__ import annotations
@@ -455,7 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code == 2 else exc.code
     if getattr(args, "list_presets", False):
         for name in preset_names():
             print(name)

@@ -54,7 +54,6 @@ _SCHEMA = {
     },
     "nbody": {
         "mean_u": ("float", 0.0),
-        "eps_init": ("float", 1e-3),
         "cosine_eps": ("float", None),
         "quiet_velocities": ("bool", False),
         "random_positions": ("bool", False),

@@ -58,6 +58,9 @@ __all__ = [
 THETA_MIN = 0.05  # |theta| below this throughout: no ordering at all
 SLOPE_TOL = 2e-3  # v_cm drift (u-units per 1/kappa) above this: runaway
 
+# the default start's position jitter, in units of the grid spacing 2 pi / N
+EPS_INIT = 1e-3
+
 # the drift rotates (sin chi, cos chi) while no phase moves further than this
 ROTATE_MAX = 1.0 / 16.0
 # Taylor coefficients in e^2 from the highest power: cos e to e^8, sin(e)/e to e^8
@@ -71,7 +74,7 @@ class InitialCondition:
     """How a run is seeded.
 
     Positions start on the uniform grid plus either a random jitter of
-    amplitude ``eps_init * (2 pi / N)`` (default) or, if ``cosine_eps`` is
+    amplitude ``EPS_INIT * (2 pi / N)`` (default) or, if ``cosine_eps`` is
     set, a deterministic displacement producing a density 1 + eps cos(chi)
     (a quiet start used when matching the kinetic solver).  With
     ``random_positions`` the grid is dropped entirely and positions are
@@ -82,7 +85,6 @@ class InitialCondition:
     """
 
     mean_u: float = 0.0
-    eps_init: float = 1e-3
     cosine_eps: float | None = None
     quiet_velocities: bool = False
     random_positions: bool = False
@@ -119,7 +121,7 @@ def _initial_state(params: SystemParams, init: InitialCondition):
         # density 1 + eps cos(chi) via the displacement chi = x - eps sin(x)
         chi = grid - init.cosine_eps * np.sin(grid)
     else:
-        amp = init.eps_init * TWO_PI / n
+        amp = EPS_INIT * TWO_PI / n
         chi = grid + rng.uniform(-amp, amp, size=n)
     if init.quiet_velocities and params.u_t > 0:
         # tile a short quantile ladder along the position grid so every

@@ -22,19 +22,21 @@ far as it interpolates, which keeps nonlinear runs from ringing.  Neither
 shift has a limiter, so f may undershoot zero slightly; diagnostics clamp
 at zero, the solver does not.
 
-Inside a run (:func:`run_vlasov`, :func:`vlasov_step`) each shift of a
-grid of at least 2 * MIN_SLAB_CELLS cells is split into slabs of whole
-lines, chi drift by u columns and u kick by chi rows, one slab per CPU in
-the process's affinity mask (``os.sched_getaffinity``, so ``taskset``
-limits them), and no slab of fewer than MIN_SLAB_CELLS cells.  numpy's
-FFTs and array passes release the GIL, so the slabs run in parallel on a
-thread pool that the run creates and joins before it returns.  Each line
-is transformed exactly as on its own, and the sums (theta, moments, mass)
+A run's state is (grid, a, space): its workspace ``space`` travels with
+the state, as the N-body run's ``work`` arrays do, and the parts hand it
+to the shifts.  With it each shift of a grid of at least
+2 * MIN_SLAB_CELLS cells is split into slabs of whole lines, chi drift by
+u columns and u kick by chi rows, one slab per CPU in the process's
+affinity mask (``os.sched_getaffinity``, so ``taskset`` limits them), and
+no slab of fewer than MIN_SLAB_CELLS cells.  numpy's FFTs and array passes
+release the GIL, so the slabs run in parallel on the workspace's threads,
+which the run's ``with`` block joins before it returns.  Each line is
+transformed exactly as on its own, and the sums (theta, moments, mass)
 run whole-array on the calling thread, so results are bitwise identical
-for any slab count.
-A run also reuses its big arrays from step to step instead of fresh
-(nx, nv)-sized ones: the shifts' spectra and u phase table, and the f of
-the grid each kick consumes, which the next drift overwrites.
+for any slab count.  The workspace also keeps the run's big arrays from
+step to step: the shifts' spectra and u phase table, and the f of the
+grid each kick consumes, which the next drift overwrites.  A shift called
+without a workspace runs inline on fresh arrays.
 
 The solver uses no spline prefilter.  The module still resolves the name
 ``spline_filter1d`` through a module-level ``__getattr__``, which imports
@@ -46,11 +48,9 @@ package does), because the benchmark's tracer wraps it as the
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
 import functools
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,7 +84,7 @@ OVERFLOW_FAIL = 1e-3
 FILTER_STRENGTH = 36.0
 FILTER_ORDER = 16
 
-# slab threads of the shifts (see _slab_workspace): no slab of fewer grid
+# slab threads of the shifts (see _Workspace): no slab of fewer grid
 # cells than this (a 256 x 256 grid runs inline: on a 2-CPU host two slabs
 # measured slower than one there, 2.55 against 2.36 ms per step)
 MIN_SLAB_CELLS = 1 << 16
@@ -198,18 +198,29 @@ def slab_count(nx: int, nv: int) -> int:
 
 
 class _Workspace:
-    """A run's slab pool and the arrays its steps reuse.
+    """A run's slab pool and the arrays its steps reuse, for a ``with`` block.
 
-    ``arrays`` holds the shifts' scratch arrays by name and ``spare`` a
-    dead f for the next drift to overwrite (see :func:`_kick`).
+    :func:`_cpu_slabs` threads share each shift, the calling thread working
+    one slab itself, so the pool holds one thread fewer; they start on the
+    first shift that splits and are joined when the block ends, normally
+    or by an exception, so no thread outlives the run.  ``arrays`` holds
+    the shifts' scratch arrays by name and ``spare`` a dead f for the next
+    drift to overwrite (see :func:`_kick`).
     """
 
-    def __init__(self, slabs: int):
-        self.slabs = slabs
-        self.pool = None if slabs < 2 else concurrent.futures.ThreadPoolExecutor(
-            max_workers=slabs - 1, thread_name_prefix="ringcarl-slab")
+    def __init__(self):
+        self.slabs = _cpu_slabs()
+        self.pool = None if self.slabs < 2 else concurrent.futures.ThreadPoolExecutor(
+            max_workers=self.slabs - 1, thread_name_prefix="ringcarl-slab")
         self.arrays = {}
         self.spare = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
         out = self.arrays.get(key)
@@ -218,44 +229,19 @@ class _Workspace:
         return out
 
 
-# the workspace of the enclosing run, bound by _slab_workspace
-_WORKSPACE = contextvars.ContextVar("ringcarl_vlasov_workspace", default=None)
-
-
-@contextmanager
-def _slab_workspace():
-    """Bind a workspace for the shifts while the block runs.
-
-    :func:`_cpu_slabs` threads share each shift, the calling thread working
-    one slab itself, so the pool holds one thread fewer; they start on the
-    first shift that splits and are joined when the block ends, normally
-    or by an exception, so no thread outlives the run.
-    """
-    space = _Workspace(_cpu_slabs())
-    token = _WORKSPACE.set(space)
-    try:
-        yield
-    finally:
-        _WORKSPACE.reset(token)
-        if space.pool is not None:
-            space.pool.shutdown()
-
-
-def _complex_scratch(key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A complex array to overwrite: the bound workspace's, else a new one."""
-    space = _WORKSPACE.get()
+def _complex_scratch(space, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex array to overwrite: the workspace's, else a new one."""
     return np.empty(shape, dtype=complex) if space is None else space.array(key, shape)
 
 
-def _run_slabs(work, lines: int, cells: int) -> None:
+def _run_slabs(work, lines: int, cells: int, space) -> None:
     """Call work(start, stop) over consecutive slabs that cover range(lines).
 
-    Outside a workspace, or with fewer than 2 * MIN_SLAB_CELLS cells, it is
+    Without a workspace, or with fewer than 2 * MIN_SLAB_CELLS cells, it is
     one inline call.  Otherwise the calling thread works the first slab and
     the pool the others; every slab is waited for, then the first failure
     is raised here.  ``work`` must touch numpy and its own slab only.
     """
-    space = _WORKSPACE.get()
     slabs = 1 if space is None or space.pool is None else _slab_count(space.slabs, lines, cells)
     if slabs == 1:
         work(0, lines)
@@ -285,23 +271,24 @@ def _phase_table(nx: int, shift_cells: bytes) -> np.ndarray:
 
 
 def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None, space=None) -> np.ndarray:
     """out[i, j] = f(i - shift_cells[j], j), periodic along axis 0.
 
     The shift moves the trigonometric interpolant of each column exactly
     (its spectrum times e^{-2 pi i k shift / nx}), so shifts compose,
     integer shifts are rolls and the column mass (k = 0) is kept; but the
     Nyquist mode of an even nx, which no real grid function can move by a
-    fraction of a cell, is scaled by cos(pi shift) instead.  Inside a run
-    the columns are split into slabs (:func:`_run_slabs`), each column
-    transformed exactly as on its own, so the result does not depend on
-    the slab count.  ``out``, a C-contiguous float array of f's shape
-    other than f, receives the result (default: a new array).
+    fraction of a cell, is scaled by cos(pi shift) instead.  With a run's
+    workspace ``space`` the columns are split into slabs
+    (:func:`_run_slabs`), each column transformed exactly as on its own, so
+    the result does not depend on the slab count.  ``out``, a C-contiguous
+    float array of f's shape other than f, receives the result (default: a
+    new array).
     """
     nx, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
     table = _phase_table(nx, np.ascontiguousarray(shift).tobytes())
-    spectrum = _complex_scratch("chi spectrum", table.shape)
+    spectrum = _complex_scratch(space, "chi spectrum", table.shape)
     out = np.empty((nx, nv)) if out is None else out
 
     def columns(a, b):
@@ -309,7 +296,7 @@ def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray,
         part *= table[:, a:b]
         np.fft.irfft(part, n=nx, axis=0, out=out[:, a:b])
 
-    _run_slabs(columns, nv, f.size)
+    _run_slabs(columns, nv, f.size, space)
     return out
 
 
@@ -326,7 +313,7 @@ def _padded_length(m: int) -> int:
         n += 2
 
 
-def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
+def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray, space=None) -> np.ndarray:
     """out[i, j] = f(i, j - shift_cells[i]); f is zero outside the u domain.
 
     Each row is zero-padded to the length n of :func:`_padded_length` at
@@ -352,11 +339,11 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     their kinks at the force's zeros into every chi mode.  The k = 0 mode
     is kept, so the in-domain plus cropped sums are still the input sum.
 
-    n, w and the filter are computed once; inside a run the rows are then
-    split into slabs (:func:`_run_slabs`), each building its rows of the
-    table and transforming them exactly as on their own, so the result
-    does not depend on the slab count.  The result is the first nv
-    columns of an nrows by n array.
+    n, w and the filter are computed once; with a run's workspace
+    ``space`` the rows are then split into slabs (:func:`_run_slabs`),
+    each building its rows of the table and transforming them exactly as
+    on their own, so the result does not depend on the slab count.  The
+    result is the first nv columns of an nrows by n array.
     """
     nrows, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
@@ -366,8 +353,8 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
     weight = np.max(4.0 * q * (1.0 - q))
     damping = np.exp(-FILTER_STRENGTH * weight * (np.arange(nk) / (nk - 1)) ** FILTER_ORDER)
     padded = np.empty((nrows, n))
-    spectrum = _complex_scratch("u spectrum", (nrows, nk))
-    product = _complex_scratch("u table", (nrows, -(-nk // 16), 16))
+    spectrum = _complex_scratch(space, "u spectrum", (nrows, nk))
+    product = _complex_scratch(space, "u table", (nrows, -(-nk // 16), 16))
 
     def rows(a, b):
         w = (-2j * np.pi / n) * shift[a:b, None]
@@ -382,7 +369,7 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray) -> np.ndarray:
         part *= table
         np.fft.irfft(part, n=n, axis=1, out=padded[a:b])
 
-    _run_slabs(rows, nrows, f.size)
+    _run_slabs(rows, nrows, f.size, space)
     return padded[:, :nv]
 
 
@@ -413,12 +400,12 @@ def _theta(grid: PhaseSpaceGrid) -> complex:
 def _drift(state, h):
     """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid.
 
-    Its f overwrites the run's spare array, if it has one (see _kick).
+    Its f overwrites the workspace's spare array, if it has one (see _kick).
     """
-    grid, a = state
-    space = _WORKSPACE.get()
+    grid, a, space = state
     out, space.spare = space.spare, None
-    return replace(grid, f=shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out)), a
+    out = shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out, space)
+    return replace(grid, f=out), a, space
 
 
 def _kick(state, h, params, hamiltonian=False):
@@ -426,16 +413,16 @@ def _kick(state, h, params, hamiltonian=False):
 
     A non-finite f shows in theta, hence in the kick; lost mass is counted.
     """
-    grid, a = state
+    grid, a, space = state
     a, j = mode_flow(a, _theta(grid), params, h, hamiltonian)
     kick = force(np.sin(grid.chi), np.cos(grid.chi), j, params)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
-    out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du))
+    out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du, space))
     lost = grid.mass() - out.mass()
     # the kick's input is the drift's output, which split_run drops: the
     # next drift overwrites its f instead of a fresh (nx, nv) array
-    _WORKSPACE.get().spare = grid.f
+    space.spare = grid.f
     out.lost_mass += lost
     if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
@@ -448,11 +435,11 @@ def _kick(state, h, params, hamiltonian=False):
             RuntimeWarning,
             stacklevel=2,
         )
-    return out, a
+    return out, a, space
 
 
 def _sample(state):
-    """The row (theta, v_cm, kinetic_energy, a) of a (grid, a) state."""
+    """The row (theta, v_cm, kinetic_energy, a) of a (grid, a, space) state."""
     return (*grid_moments(state[0]), state[1])
 
 
@@ -475,9 +462,9 @@ def vlasov_step(
     being finite.
     """
     kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
-    with _slab_workspace():
-        _, [(_, state)] = split_run((grid, a), _drift, kick, _sample, dt, dt, dt)
-    return state
+    with _Workspace() as space:
+        _, [(_, (grid, a, _))] = split_run((grid, a, space), _drift, kick, _sample, dt, dt, dt)
+    return grid, a
 
 
 def run_vlasov(
@@ -509,7 +496,7 @@ def run_vlasov(
     else:
         grid = grid.copy()
     a = steady_state_fields(params) if fields is None else fields
-    with _slab_workspace():
-        series, snaps = split_run((grid, a), _drift, functools.partial(_kick, params=params),
-                                  _sample, t_end, sample_every, dt, snapshot_every)
-    return series, [(tau, g) for tau, (g, _) in snaps]
+    with _Workspace() as space:
+        series, snaps = split_run((grid, a, space), _drift, functools.partial(
+            _kick, params=params), _sample, t_end, sample_every, dt, snapshot_every)
+    return series, [(tau, g) for tau, (g, _, _) in snaps]

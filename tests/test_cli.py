@@ -253,6 +253,13 @@ class TestRunExperiment:
         assert len(lines) == 17
         assert len(lines[1].split()) == 32
 
+    def test_svg_skipped_without_matplotlib(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        manifest = cli.run_experiment(parse_config(MINIMAL), tmp_path, svg=True)
+        assert manifest.results["svg"] == "skipped (matplotlib not installed)"
+        assert "plot_s" in manifest.timings
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_snapshot_bytes(self, tmp_path):
         """Each value is written as its shortest round-trip text, as _fmt
         writes it: signed zeros, subnormals and undershoots included."""
@@ -488,6 +495,14 @@ class TestMain:
         for command in ("nbody", "classify", "vlasov", "stability-boundary"):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--preset", "x", "--threads", "2"])
+
+    def test_usage_errors_exit_1(self, capsys):
+        """argparse's usage errors are validation errors, not numerical
+        failures (2); --help and --version still exit 0."""
+        assert cli.main(["nbody", "--preset", "fig2", "--threads", "2"]) == 1
+        assert cli.main(["nbody"]) == 1  # neither --config nor --preset
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["--version"]) == 0
 
     def test_successful_run_and_seed_override(self, tmp_path, capsys):
         good = tmp_path / "ok.ini"

@@ -342,7 +342,8 @@ class TestRun:
 
         series, snaps = run()
         with monkeypatch.context() as m:
-            m.setattr(vl, "shift_clamped_u", _ref_shift_clamped_u)
+            m.setattr(vl, "shift_clamped_u",
+                      lambda f, shifts, space: _ref_shift_clamped_u(f, shifts))
             ref_series, ref_snaps = run()
         for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum"):
             np.testing.assert_allclose(getattr(series, name), getattr(ref_series, name),
@@ -425,11 +426,11 @@ class TestSlabs:
         names = []
         run_slabs = vl._run_slabs
 
-        def recording(work, lines, cells):
+        def recording(work, lines, cells, space):
             def recorded(a, b):
                 names.append(threading.current_thread().name)
                 work(a, b)
-            run_slabs(recorded, lines, cells)
+            run_slabs(recorded, lines, cells, space)
 
         monkeypatch.setattr(vl, "_run_slabs", recording)
         return names
@@ -446,8 +447,9 @@ class TestSlabs:
         for slabs in (1, 2, 3):
             monkeypatch.setattr(vl, "_cpu_slabs", lambda slabs=slabs: slabs)
             names.clear()
-            with vl._slab_workspace():
-                out[slabs] = (vl.shift_periodic_chi(f, chi_shifts), vl.shift_clamped_u(f, u_shifts))
+            with vl._Workspace() as space:
+                out[slabs] = (vl.shift_periodic_chi(f, chi_shifts, space=space),
+                              vl.shift_clamped_u(f, u_shifts, space))
             assert len(names) == 2 * slabs
             self.check_threads(names, slabs)
         for slabs in (2, 3):
@@ -495,12 +497,12 @@ class TestSlabs:
         monkeypatch.setattr(vl, "_cpu_slabs", lambda: 2)
         run_slabs = vl._run_slabs
 
-        def failing(work, lines, cells):
+        def failing(work, lines, cells, space):
             def work_or_fail(a, b):
                 if a > 0:
                     raise MemoryError("injected")
                 work(a, b)
-            run_slabs(work_or_fail, lines, cells)
+            run_slabs(work_or_fail, lines, cells, space)
 
         monkeypatch.setattr(vl, "_run_slabs", failing)
         before = threading.active_count()
