@@ -23,13 +23,11 @@ from .core import DomainError, SystemParams, TimeSeries
 
 __all__ = [
     "WaveState",
-    "PhaseVelocityRoot",
     "WaveValidationReport",
     "asymmetry_for_wave",
     "phase_velocity_solutions",
     "validate_wave",
     "wave_direction",
-    "WaveDirection",
     "STATIONARY_SLOPE_TOL",
 ]
 
@@ -63,21 +61,13 @@ def asymmetry_for_wave(wave: WaveState, params: SystemParams) -> float:
     return -4.0 * params.delta * q * w / (4.0 * p * w**2 + q**2 + r)
 
 
-@dataclass(frozen=True)
-class PhaseVelocityRoot:
-    v_ph: float
-    suspicious: bool = False  # violates the wave-direction rule
-
-
-def phase_velocity_solutions(
-    aos: float, Theta: float, params: SystemParams
-) -> list[PhaseVelocityRoot]:
-    """Invert the A/S relation for v_ph at fixed Theta.
+def phase_velocity_solutions(aos: float, Theta: float, params: SystemParams) -> list[float]:
+    """Invert the A/S relation for the phase velocities v_ph at fixed Theta.
 
     The relation is quadratic in w = v_ph/2; an empty list means no
-    travelling wave exists at this (A/S, Theta).  Roots whose direction
-    contradicts the stronger-pump rule (delta < 0, N|u0| within the bound)
-    are flagged suspicious.
+    travelling wave exists at this (A/S, Theta).  Both roots have the sign
+    of -delta Q (A/S), so where :func:`wave_direction` asserts the
+    stronger-pump rule (Theta <= N gives Q >= 0) none runs against it.
     """
     if abs(aos) > 1.0:
         raise DomainError("|A/S| cannot exceed 1")
@@ -96,40 +86,25 @@ def phase_velocity_solutions(
         qq = -0.5 * (a1 + np.copysign(sq, a1))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             roots = [qq / a2, a0 / qq]
-        roots = [w for w in roots if np.isfinite(w)]
-    out = []
-    rule_applies = d < 0 and abs(params.nu0) <= np.sqrt(1.0 + d**2)
-    for w in roots:
-        v_ph = 2.0 * w
-        bad = rule_applies and (np.sign(v_ph) * np.sign(aos) < 0)
-        out.append(PhaseVelocityRoot(v_ph, suspicious=bool(bad)))
-    return out
+    return [2.0 * float(w) for w in roots if np.isfinite(w)]
 
 
-@dataclass(frozen=True)
-class WaveDirection:
-    direction: str  # 'with-stronger-pump' | 'against' | 'indeterminate'
-    low_confidence: bool = False
-
-
-def wave_direction(params: SystemParams, Theta: float) -> WaveDirection:
-    """Propagation direction of the wave relative to the stronger pump.
+def wave_direction(params: SystemParams, Theta: float) -> str:
+    """Propagation direction of the wave relative to the stronger pump:
+    'with-stronger-pump', 'against' or 'indeterminate'.
 
     For delta < 0 the wave runs with the stronger pump whenever
     N|u0| <= sqrt(1 + delta^2); beyond that, waves with |u0| Theta large
     enough to flip the sign of Q would run against it, but such waves are
-    expected unstable (low-confidence flag).  For delta >= 0 no rule is
-    asserted.
+    expected unstable.  For delta >= 0 no rule is asserted.
     """
     d = params.delta
     if d >= 0:
-        return WaveDirection("indeterminate")
+        return "indeterminate"
     bound = np.sqrt(1.0 + d**2)
-    if abs(params.nu0) <= bound:
-        return WaveDirection("with-stronger-pump")
-    if abs(params.u0) * Theta > bound:
-        return WaveDirection("against", low_confidence=True)
-    return WaveDirection("with-stronger-pump")
+    if abs(params.nu0) > bound and abs(params.u0) * Theta > bound:
+        return "against"
+    return "with-stronger-pump"
 
 
 @dataclass
@@ -180,10 +155,10 @@ def validate_wave(series: TimeSeries, params: SystemParams) -> WaveValidationRep
     wave = WaveState(v_ph=v_ph_phase, theta_mag=theta_mag, Theta=Theta)
     predicted = asymmetry_for_wave(wave, params)
     actual = params.a_asym / params.s_total if params.s_total > 0 else 0.0
-    roots = [r.v_ph for r in phase_velocity_solutions(actual, Theta, params) if not r.suspicious]
+    roots = phase_velocity_solutions(actual, Theta, params)
     v_ph_predicted = min(roots, key=lambda v: abs(v - v_ph_phase), default=float("nan"))
     with_pump = np.sign(v_ph_phase) * np.sign(actual) >= 0
-    rule = wave_direction(params, Theta).direction
+    rule = wave_direction(params, Theta)
     return WaveValidationReport(
         v_ph_vcm=v_ph_vcm,
         v_ph_phase=v_ph_phase,

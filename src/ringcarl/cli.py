@@ -5,6 +5,8 @@ phase-diagram); classify, slow-beam and validate-wave are old names of
 nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
 CSV artifacts plus a ``manifest.json`` into the output directory.  CSV is
 the data contract; SVG plots are optional (``--svg``, needs matplotlib).
+``--seed`` overrides ``run.seed`` of the parsed config, so the config must
+parse as written.
 
 Exit codes: 0 success (also --help and --version), 1 validation or usage
 error, 2 numerical failure, 3 I/O.
@@ -49,27 +51,19 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_timeseries(path, series: TimeSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMESERIES_HEADER)
-        for i in range(len(series)):
-            th = series.theta[i]
-            inten = series.intensities[i]
-            w.writerow(
-                [_fmt(series.tau[i]), _fmt(th.real), _fmt(th.imag), _fmt(abs(th)),
-                 _fmt(series.v_cm[i])]
-                + [_fmt(v) for v in inten]
-                + [_fmt(series.kinetic_energy[i]), _fmt(series.field_momentum[i])]
-            )
-
-
-def write_boundary(path, curve: stability.BoundaryCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(BOUNDARY_HEADER)
-        for i in range(curve.omega.size):
-            w.writerow([_fmt(curve.omega[i]), _fmt(curve.s_total[i]), _fmt(curve.a_asym[i])])
+    th = series.theta
+    # abs of each scalar theta: np.abs over the array can differ in the last bit
+    columns = zip(series.tau, th.real, th.imag, map(abs, th), series.v_cm,
+                  *series.intensities.T, series.kinetic_energy, series.field_momentum)
+    _write_csv(path, TIMESERIES_HEADER, (map(_fmt, row) for row in columns))
 
 
 def write_snapshot(path, grid: vlasov.PhaseSpaceGrid) -> None:
@@ -108,10 +102,11 @@ def _integrate(cfg: RunConfig, manifest: RunManifest, solver, *args, **kwargs):
     return out
 
 
-def _write_series(series: TimeSeries, outdir: Path, manifest: RunManifest) -> None:
+def _save(manifest: RunManifest, path: Path, write, *args) -> None:
+    """Write one artifact as ``write(path, *args)`` in the write stage and
+    record its checksum."""
     with _stage(manifest, "write"):
-        path = outdir / "timeseries.csv"
-        write_timeseries(path, series)
+        write(path, *args)
         manifest.add_file(path)
 
 
@@ -159,7 +154,7 @@ def _mode_nbody(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
         cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
         sample_every=cfg.sample_every, dt=cfg.dt,
     )
-    _write_series(series, outdir, manifest)
+    _save(manifest, outdir / "timeseries.csv", write_timeseries, series)
     _series_results(cfg, series, manifest)
 
 
@@ -169,12 +164,9 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
         cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
         **cfg.options["vlasov"],
     )
-    _write_series(series, outdir, manifest)
-    with _stage(manifest, "write"):
-        for tau, grid in snaps:
-            spath = outdir / f"snapshot_tau{tau:g}.txt"
-            write_snapshot(spath, grid)
-            manifest.add_file(spath)
+    _save(manifest, outdir / "timeseries.csv", write_timeseries, series)
+    for tau, grid in snaps:
+        _save(manifest, outdir / f"snapshot_tau{tau:g}.txt", write_snapshot, grid)
     final = snaps[-1][1]
     manifest.timings["slabs"] = vlasov.slab_count(final.nx, final.nv)
     manifest.results["lost_mass"] = float(final.lost_mass)
@@ -188,10 +180,8 @@ def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
         p = replace(cfg.params, u_t=u_t)
         grid = stability.default_omega_grid(p, n=2 * o["n_omega"])
         curve = stability.boundary_curve(p, grid)
-        path = outdir / f"boundary_ut{u_t:g}.csv"
-        with _stage(manifest, "write"):
-            write_boundary(path, curve)
-            manifest.add_file(path)
+        rows = (map(_fmt, row) for row in zip(curve.omega, curve.s_total, curve.a_asym))
+        _save(manifest, outdir / f"boundary_ut{u_t:g}.csv", _write_csv, BOUNDARY_HEADER, rows)
         manifest.results.setdefault("thresholds_a0", {})[f"u_t={u_t:g}"] = (
             stability.threshold_sc_a0(p)
         )
@@ -305,13 +295,9 @@ def _mode_phase_diagram(
     with _stage(manifest, "sweep"):
         rows = _sweep_rows(todo, cfg, threads, stats)
     computed = iter(rows)
-    with _stage(manifest, "write"):
-        # the whole grid in order: rows of cells off the current grid go
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(PHASE_HEADER)
-            w.writerows(done[key] if key in done else next(computed) for key in keys)
-        manifest.add_file(path)
+    # the whole grid in order: rows of cells off the current grid go
+    _save(manifest, path, _write_csv, PHASE_HEADER,
+          (done[key] if key in done else next(computed) for key in keys))
     manifest.results["n_cells"] = len(cells)
     manifest.results["n_computed"] = len(rows)
     manifest.results["n_resumed"] = len(cells) - len(todo)
@@ -465,35 +451,20 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        if args.preset:
-            text = load_preset(args.preset)
-        else:
-            text = Path(args.config).read_text()
+        text = Path(args.config).read_text() if args.preset is None else None
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        text = _override_seed(text, args.seed)
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if cfg.mode != ALIASES.get(args.command, args.command):
-        print(
-            f"error: config mode {cfg.mode!r} does not match "
-            f"subcommand {args.command!r}",
-            file=sys.stderr,
-        )
-        return 1
-    out = args.out or cfg.out
-    if not out:
-        root = os.environ.get("RINGCARL_OUT", "runs")
-        out = str(Path(root) / cfg.mode)
-    try:
+        cfg = parse_config(load_preset(args.preset) if text is None else text)
+        if args.seed is not None:
+            run = {**cfg.snapshot["run"], "seed": str(args.seed)}
+            cfg = replace(cfg, seed=args.seed, params=replace(cfg.params, seed=args.seed),
+                          snapshot={**cfg.snapshot, "run": run})
+        if cfg.mode != ALIASES.get(args.command, args.command):
+            raise ConfigError([f"config mode {cfg.mode!r} does not match "
+                               f"subcommand {args.command!r}"])
+        out = args.out or cfg.out or str(Path(os.environ.get("RINGCARL_OUT", "runs")) / cfg.mode)
         manifest = run_experiment(cfg, out, threads=getattr(args, "threads", 1), svg=args.svg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -508,21 +479,6 @@ def main(argv=None) -> int:
         print(f"{key}: {value}")
     print(f"artifacts in {out}")
     return 0
-
-
-def _override_seed(text: str, seed: int) -> str:
-    """Rewrite (or insert) run.seed in raw INI text."""
-    import configparser
-    import io
-
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(text)
-    if not cp.has_section("run"):
-        cp.add_section("run")
-    cp.set("run", "seed", str(seed))
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 if __name__ == "__main__":

@@ -261,6 +261,8 @@ def parse_config(text: str) -> RunConfig:
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")
+        if base.u_t <= 0:  # the grid is in units of S_c(A = 0), which is 0 for a cold gas
+            errors.append("phase-diagram mode needs u_t > 0")
     if given == "slow-beam":
         if get("nbody", "mean_u") == 0.0:
             errors.append("slow-beam mode needs nbody.mean_u != 0")

@@ -9,6 +9,7 @@ import pytest
 
 from ringcarl import cli, nbody, stability, vlasov
 from ringcarl.config import ALIASES, ConfigError, RunManifest, parse_config, sha256_file
+from ringcarl.core import TimeSeries
 
 MINIMAL = """
 [run]
@@ -276,6 +277,21 @@ class TestRunExperiment:
         rows = [" ".join(cli._fmt(v) for v in row) for row in grid.f]
         assert path.read_text() == "2 4\n" + "".join(r + "\n" for r in rows)
 
+    def test_timeseries_bytes(self, tmp_path):
+        """abs_theta is Python's abs of each theta, written as _fmt writes
+        it; np.abs over the array differs in the last bit for this theta."""
+        theta = np.array([0.0005280519269644856 + 0.003495741281911387j, complex(-0.0, 1.0)])
+        series = TimeSeries(tau=np.array([0.0, 0.1]), theta=theta, v_cm=np.array([0.5, -2.5e-310]),
+                            intensities=np.arange(8.0).reshape(2, 4),
+                            kinetic_energy=np.array([1e300, 0.1]), field_momentum=np.zeros(2))
+        path = tmp_path / "ts.csv"
+        cli.write_timeseries(path, series)
+        assert path.read_bytes() == (
+            b"tau,re_theta,im_theta,abs_theta,v_cm,i_ap,i_am,i_bp,i_bm,ekin,pfield\r\n"
+            b"0.0,0.0005280519269644856,0.003495741281911387,0.0035353989799781264,0.5,"
+            b"0.0,1.0,2.0,3.0,1e+300,0.0\r\n"
+            b"0.1,-0.0,1.0,1.0,-2.5e-310,4.0,5.0,6.0,7.0,0.1,0.0\r\n")
+
     def test_phase_diagram_and_resume(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
         text += "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\n"
@@ -454,6 +470,16 @@ class TestMain:
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nmode = nbody\n")
         assert cli.main(["nbody", "--config", str(bad)]) == 1
+        # --seed applies to the parsed config: a syntax error is reported as such
+        bad.write_text("mode = nbody\n")
+        capsys.readouterr()
+        assert cli.main(["nbody", "--config", str(bad), "--seed", "3"]) == 1
+        assert "invalid config" in capsys.readouterr().err
+        # the sweep grid is in units of S_c(A = 0), which is 0 for a cold gas
+        bad.write_text(MINIMAL.replace("mode = nbody", "mode = phase-diagram").replace(
+            "u_t = 3.0", "u_t = 0.0") + "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0, 0.5\n")
+        assert cli.main(["phase-diagram", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
+        assert "needs u_t > 0" in capsys.readouterr().err
         vlasov_text = MINIMAL.replace("mode = nbody", "mode = vlasov")
         # intervals below dt (0.05) would round to one step each
         texts = [vlasov_text + tail for tail in (
@@ -515,6 +541,11 @@ class TestMain:
         m = json.loads((tmp_path / "r/manifest.json").read_text())
         assert m["config"]["run"]["seed"] == "42"
         assert m["error"] is None
+        # the override seeds the run as run.seed in the text does
+        good.write_text(MINIMAL.replace("mode = nbody", "mode = nbody\nseed = 42"))
+        assert cli.main(["nbody", "--config", str(good), "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "r/timeseries.csv").read_bytes() == (
+            tmp_path / "s/timeseries.csv").read_bytes()
 
     def test_failed_run_records_error(self, tmp_path, monkeypatch):
         """A run that diverges exits 2 and leaves a manifest that says why."""
