@@ -1,6 +1,6 @@
 """Work-precision comparisons of the two solvers' time steps.
 
-    PYTHONPATH=src python docs/work_precision.py
+    PYTHONPATH=src:tests python docs/work_precision.py
 
 N-body: runs the fig2 preset physics (N = 1e4, S = 2 S_c, A/S = 0.3) from
 the 1 + 0.05 cos(chi) quiet start of the ``nbody-wave`` benchmark workload
@@ -32,9 +32,10 @@ import time
 import numpy as np
 from scipy.ndimage import spline_filter1d
 
+from oracles import mode_rhs
 from ringcarl import nbody, stability
 from ringcarl import vlasov as vl
-from ringcarl.core import SystemParams, coupling, force, mode_rhs
+from ringcarl.core import SystemParams, coupling, force
 
 T_END = 10.0
 SAMPLE_EVERY = 0.1

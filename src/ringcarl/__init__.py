@@ -24,7 +24,6 @@ from .core import (
     field_momentum,
     force,
     mode_flow,
-    mode_rhs,
     momentum_invariant,
     sample_maxwellian,
     steady_state_fields,
@@ -36,7 +35,6 @@ __all__ = [
     "SystemParams",
     "TimeSeries",
     "IntegrationDivergedError",
-    "mode_rhs",
     "mode_flow",
     "coupling",
     "force",

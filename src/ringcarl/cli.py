@@ -3,10 +3,9 @@
 Subcommands mirror the run modes (nbody, vlasov, stability-boundary,
 phase-diagram); classify, slow-beam and validate-wave are old names of
 nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
-CSV artifacts plus a ``manifest.json`` into the output directory.  CSV is
-the data contract; SVG plots are optional (``--svg``, needs matplotlib).
-``--seed`` overrides ``run.seed`` of the parsed config, so the config must
-parse as written.
+CSV artifacts plus a ``manifest.json`` into the output directory; CSV is
+the data contract.  ``--seed`` overrides ``run.seed`` of the parsed
+config, so the config must parse as written.
 
 Exit codes: 0 success (also --help and --version), 1 validation or usage
 error, 2 numerical failure, 3 I/O.
@@ -206,19 +205,13 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
     """Phase-diagram CSV rows (lists of str) of the cells (S, A), in order.
 
     All cells are classified in this process by one batch, whose root
-    search adds its counts to ``stats``.  A dynamic sweep then runs the
+    search adds its counts to ``stats``; ``parse_config`` has checked the
+    grid, so each cell is a valid pump point.  A dynamic sweep then runs the
     N-body simulation of each classified cell, on ``threads`` worker
     processes when that is above 1.  A cell that raises gets an error row.
     """
-    outcome = []
-    for s, a in cells:
-        try:
-            outcome.append(stability.PumpPoint(s, a))
-        except DomainError as exc:
-            outcome.append(exc)
-    results = iter(stability.classify_regimes(
-        [p for p in outcome if not isinstance(p, Exception)], cfg.params, stats))
-    outcome = [p if isinstance(p, Exception) else next(results) for p in outcome]
+    outcome = stability.classify_regimes(
+        [stability.PumpPoint(s, a) for s, a in cells], cfg.params, stats)
     labels = {}
     if cfg.options["sweep"]["dynamic"]:
         todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
@@ -308,60 +301,6 @@ def _mode_phase_diagram(
 
 
 # ---------------------------------------------------------------------------
-# SVG plots (optional)
-# ---------------------------------------------------------------------------
-
-
-def _write_svg(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    try:
-        import matplotlib
-
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        manifest.results["svg"] = "skipped (matplotlib not installed)"
-        return
-    ts = outdir / "timeseries.csv"
-    if ts.exists():
-        data = np.genfromtxt(ts, delimiter=",", names=True)
-        fig, axes = plt.subplots(2, 1, sharex=True, figsize=(6, 5))
-        axes[0].plot(data["tau"], data["abs_theta"])
-        axes[0].set_ylabel("|theta|")
-        axes[1].plot(data["tau"], data["v_cm"])
-        axes[1].set_ylabel("v_cm")
-        axes[1].set_xlabel("tau")
-        fig.savefig(outdir / "timeseries.svg")
-        plt.close(fig)
-        manifest.add_file(outdir / "timeseries.svg")
-    pd = outdir / "phase_diagram.csv"
-    if pd.exists():
-        fig, ax = plt.subplots(figsize=(5, 4))
-        with open(pd, newline="") as fh:
-            rows = [r for r in csv.reader(fh)][1:]
-        colors = {"stable": "tab:blue", "bgk-ordered": "tab:green", "carl": "tab:red"}
-        for row in rows:
-            base = row[2].split("/")[0]
-            ax.scatter(float(row[0]), float(row[1]),
-                       c=colors.get(base, "gray"), s=12)
-        ax.set_xlabel("S")
-        ax.set_ylabel("A")
-        fig.savefig(outdir / "phase_diagram.svg")
-        plt.close(fig)
-        manifest.add_file(outdir / "phase_diagram.svg")
-    for sp in sorted(outdir.glob("snapshot_tau*.txt")):
-        with open(sp) as fh:
-            nx, nv = (int(v) for v in fh.readline().split())
-            f = np.loadtxt(fh)
-        fig, ax = plt.subplots(figsize=(5, 4))
-        ax.imshow(f.T, origin="lower", aspect="auto", cmap="inferno")
-        ax.set_xlabel("chi index")
-        ax.set_ylabel("u index")
-        fig.savefig(sp.with_suffix(".svg"))
-        plt.close(fig)
-        manifest.add_file(sp.with_suffix(".svg"))
-
-
-# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 
@@ -372,9 +311,7 @@ _MODE_IMPL = {
 }
 
 
-def run_experiment(
-    cfg: RunConfig, outdir, threads: int = 1, svg: bool = False
-) -> RunManifest:
+def run_experiment(cfg: RunConfig, outdir, threads: int = 1) -> RunManifest:
     """Execute the configured mode, writing artifacts + manifest to outdir."""
     t0 = time.perf_counter()
     outdir = Path(outdir)
@@ -389,9 +326,6 @@ def run_experiment(
             _mode_phase_diagram(cfg, outdir, manifest, threads=threads)
         else:
             _MODE_IMPL[cfg.mode](cfg, outdir, manifest)
-        if svg:
-            with _stage(manifest, "plot"):
-                _write_svg(cfg, outdir, manifest)
     except BaseException as exc:  # the manifest of a failed run says so
         manifest.error = f"{type(exc).__name__}: {exc}"
         raise
@@ -435,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if mode == "phase-diagram":
             sp.add_argument("--threads", type=int, default=1,
                             help="worker processes for the N-body runs of a dynamic sweep")
-        sp.add_argument("--svg", action="store_true", help="also emit SVG plots")
     lp = sub.add_parser("presets", help="list bundled presets")
     lp.set_defaults(list_presets=True)
     return ap
@@ -465,7 +398,7 @@ def main(argv=None) -> int:
             raise ConfigError([f"config mode {cfg.mode!r} does not match "
                                f"subcommand {args.command!r}"])
         out = args.out or cfg.out or str(Path(os.environ.get("RINGCARL_OUT", "runs")) / cfg.mode)
-        manifest = run_experiment(cfg, out, threads=getattr(args, "threads", 1), svg=args.svg)
+        manifest = run_experiment(cfg, out, threads=getattr(args, "threads", 1))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

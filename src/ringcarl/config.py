@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -140,7 +141,8 @@ class RunConfig:
     snapshot: dict = field(default_factory=dict)  # normalized key-value copy
 
     def derived(self) -> dict:
-        """Threshold quantities implied by the parameters."""
+        """Threshold quantities implied by the parameters; S_c(A = 0) and
+        S_BGK only where they are finite and nonzero (u_t > 0, delta != 0)."""
         from . import stability
 
         p = self.params
@@ -149,9 +151,8 @@ class RunConfig:
             "a_asym": p.a_asym,
             "carl_bound": stability.carl_bound(p),
         }
-        if p.u_t > 0:
-            sc = stability.threshold_sc_a0(p)
-            out["sc_a0"] = sc
+        if p.u_t > 0 and p.delta != 0:
+            out["sc_a0"] = stability.threshold_sc_a0(p)
             out["s_bgk"] = stability.s_bgk(p, p.a_asym)
         return out
 
@@ -218,8 +219,8 @@ def parse_config(text: str) -> RunConfig:
     ):
         errors.append("physics: give exactly one of s_total, s_over_sc")
     if s_total is None and s_over_sc is not None:
-        if base.u_t <= 0:
-            errors.append("physics.s_over_sc needs u_t > 0")
+        if base.u_t <= 0 or base.delta == 0:  # S_c(A = 0) is 0 or diverges
+            errors.append("physics.s_over_sc needs u_t > 0 and delta != 0")
         else:
             from .stability import threshold_sc_a0
 
@@ -258,6 +259,15 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"vlasov.snapshot_every must be > 0, got {snapshot_every}")
     elif snapshot_every is not None and dt > 0 and snapshot_every < dt:
         errors.append(f"vlasov.snapshot_every must be >= run.dt = {dt:g}, got {snapshot_every}")
+    for section, key, ok, rule in (("boundary", "u_t_list", lambda v: v >= 0, ">= 0"),
+                                   ("sweep", "s_over_sc", lambda v: v >= 0, ">= 0"),
+                                   ("sweep", "a_over_s", lambda v: abs(v) <= 1, "in [-1, 1]")):
+        bad = [v for v in get(section, key) or () if not (math.isfinite(v) and ok(v))]
+        if bad:
+            errors.append(f"{section}.{key} values must be finite and {rule}, got {bad}")
+    if mode in ("stability-boundary", "phase-diagram") and base.delta == 0:
+        # S drops out of D(s) at delta = 0, so there is no marginal S and no S_c
+        errors.append(f"{mode} mode needs delta != 0")
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")

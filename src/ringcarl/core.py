@@ -6,6 +6,14 @@ partners off the density grating theta = <e^{-i chi}>.  The gas is kicked
 by F = 2 rho_r u0 Im[C e^{i chi}] with C = alpha+ alpha-^* + beta+ beta-^*.
 The four amplitudes travel as one complex array a = (a+, a-, b+, b-);
 particle positions, velocities and phase-space grids are plain arrays.
+At bunching theta the modes obey
+
+    d(alpha+)/dtau = (i delta - 1) alpha+ - i N u0 theta  alpha- + eta+
+    d(alpha-)/dtau = (i delta - 1) alpha- - i N u0 theta* alpha+
+    d(beta+)/dtau  = (i delta - 1) beta+  - i N u0 theta  beta-
+    d(beta-)/dtau  = (i delta - 1) beta-  - i N u0 theta* beta+ + eta-
+
+and the closed system (``hamiltonian=True``) drops the decay and the pumps.
 
 Unit conventions (cavity decay rate kappa = 1 throughout):
 
@@ -32,7 +40,6 @@ __all__ = [
     "IntegrationDivergedError",
     "SystemParams",
     "TimeSeries",
-    "mode_rhs",
     "mode_flow",
     "split_run",
     "step_count",
@@ -131,32 +138,8 @@ class SystemParams:
 
 
 # ---------------------------------------------------------------------------
-# The model: mode equations, coupling, force
+# The model: mode flow, coupling, force
 # ---------------------------------------------------------------------------
-
-
-def mode_rhs(a: np.ndarray, theta: complex, params: SystemParams, hamiltonian: bool = False):
-    """d a / d tau for a = (a+, a-, b+, b-) at bunching theta.
-
-        d(alpha+)/dtau = (i delta - 1) alpha+ - i N u0 theta  alpha- + eta+
-        d(alpha-)/dtau = (i delta - 1) alpha- - i N u0 theta* alpha+
-        d(beta+)/dtau  = (i delta - 1) beta+  - i N u0 theta  beta-
-        d(beta-)/dtau  = (i delta - 1) beta-  - i N u0 theta* beta+ + eta-
-
-    ``hamiltonian`` drops the decay and the pumps (the closed system).
-    """
-    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
-    nu0 = params.nu0
-    ap, am, bp, bm = a
-    da = np.empty(4, dtype=complex)
-    da[0] = lam * ap - 1j * nu0 * theta * am
-    da[1] = lam * am - 1j * nu0 * np.conj(theta) * ap
-    da[2] = lam * bp - 1j * nu0 * theta * bm
-    da[3] = lam * bm - 1j * nu0 * np.conj(theta) * bp
-    if not hamiltonian:
-        da[0] += params.eta_plus
-        da[3] += params.eta_minus
-    return da
 
 
 # 4-node Gauss-Legendre rule on [0, 1], from the closed-form nodes
@@ -171,7 +154,7 @@ _GL_RULE = [
 
 def mode_flow(a: np.ndarray, theta: complex, params: SystemParams, h: float,
               hamiltonian: bool = False):
-    """Exact flow of :func:`mode_rhs` over a time h at fixed theta, and its kick.
+    """Exact flow of the mode equations over a time h at fixed theta, and its kick.
 
     Returns (a(h), J) with J = integral_0^h C dtau along the flow, so that
     ``force(sin_chi, cos_chi, J, params)`` is the velocity kick of particles

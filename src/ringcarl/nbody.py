@@ -1,6 +1,6 @@
 """Coupled mode-particle dynamics: four cavity modes + N point particles.
 
-The modes follow :func:`ringcarl.core.mode_rhs` at the particles'
+The modes follow the equations of :mod:`ringcarl.core` at the particles'
 bunching theta = (1/N) sum_j exp(-i chi_j), and each particle moves as
 
     d(chi_j)/dtau  = u_j

@@ -37,3 +37,28 @@ def landau_integral_quadrature(
     )
     prefactor = params.n_particles * params.u0**2 * params.rho_r / (1.0 + params.delta**2)
     return prefactor * complex(re, im)
+
+
+def mode_rhs(a: np.ndarray, theta: complex, params: SystemParams, hamiltonian: bool = False):
+    """d a / d tau for a = (a+, a-, b+, b-) at bunching theta, written out
+    term by term: the mode equations of the ringcarl.core docstring.
+
+        d(alpha+)/dtau = (i delta - 1) alpha+ - i N u0 theta  alpha- + eta+
+        d(alpha-)/dtau = (i delta - 1) alpha- - i N u0 theta* alpha+
+        d(beta+)/dtau  = (i delta - 1) beta+  - i N u0 theta  beta-
+        d(beta-)/dtau  = (i delta - 1) beta-  - i N u0 theta* beta+ + eta-
+
+    ``hamiltonian`` drops the decay and the pumps (the closed system).
+    """
+    lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
+    nu0 = params.nu0
+    ap, am, bp, bm = a
+    da = np.empty(4, dtype=complex)
+    da[0] = lam * ap - 1j * nu0 * theta * am
+    da[1] = lam * am - 1j * nu0 * np.conj(theta) * ap
+    da[2] = lam * bp - 1j * nu0 * theta * bm
+    da[3] = lam * bm - 1j * nu0 * np.conj(theta) * bp
+    if not hamiltonian:
+        da[0] += params.eta_plus
+        da[3] += params.eta_minus
+    return da

@@ -254,13 +254,6 @@ class TestRunExperiment:
         assert len(lines) == 17
         assert len(lines[1].split()) == 32
 
-    def test_svg_skipped_without_matplotlib(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
-        manifest = cli.run_experiment(parse_config(MINIMAL), tmp_path, svg=True)
-        assert manifest.results["svg"] == "skipped (matplotlib not installed)"
-        assert "plot_s" in manifest.timings
-        assert not list(tmp_path.glob("*.svg"))
-
     def test_snapshot_bytes(self, tmp_path):
         """Each value is written as its shortest round-trip text, as _fmt
         writes it: signed zeros, subnormals and undershoots included."""
@@ -492,6 +485,29 @@ class TestMain:
             capsys.readouterr()
             assert cli.main(["vlasov", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
             assert "must be" in capsys.readouterr().err
+        # sweep grids outside S >= 0 and |A/S| <= 1 or not finite, negative
+        # boundary temperatures, and delta = 0 where S_c(A = 0) diverges
+        # fail before any file is written
+        sweep = MINIMAL.replace("mode = nbody", "mode = phase-diagram") + "\n[sweep]\n"
+        boundary = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
+        resonant = MINIMAL.replace("delta = -1.0", "delta = 0.0")
+        for command, text in (
+            ("phase-diagram", sweep + "s_over_sc = -0.5, 1.5\na_over_s = 0.0\n"),
+            ("phase-diagram", sweep + "s_over_sc = 0.5\na_over_s = 0.0, 1.5\n"),
+            ("phase-diagram", sweep + "s_over_sc = 0.5, nan\na_over_s = 0.0\n"),
+            ("phase-diagram", sweep.replace("delta = -1.0", "delta = 0.0")
+             + "s_over_sc = 0.5\na_over_s = 0.0\n"),
+            ("stability-boundary", boundary + "\n[boundary]\nu_t_list = -1\n"),
+            ("stability-boundary", boundary.replace("delta = -1.0", "delta = 0.0")),
+            ("nbody", resonant.replace("s_total = 8.0", "s_over_sc = 2.0")),
+        ):
+            bad.write_text(text)
+            out = tmp_path / "grid"
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(bad), "--out", str(out)]) == 1, text
+            err = capsys.readouterr().err
+            assert "error: invalid config" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_mode_mismatch(self, tmp_path):
         good = tmp_path / "ok.ini"
@@ -527,8 +543,20 @@ class TestMain:
         failures (2); --help and --version still exit 0."""
         assert cli.main(["nbody", "--preset", "fig2", "--threads", "2"]) == 1
         assert cli.main(["nbody"]) == 1  # neither --config nor --preset
+        assert cli.main(["nbody", "--preset", "fig2", "--svg"]) == 1  # no plots
         assert cli.main(["--help"]) == 0
         assert cli.main(["--version"]) == 0
+
+    def test_run_at_zero_detuning(self, tmp_path, capsys):
+        """delta = 0 is resonant CARL (carl_bound 0): an nbody run with
+        s_total set runs; the manifest leaves out the divergent S_c(A = 0)."""
+        cfg = tmp_path / "resonant.ini"
+        cfg.write_text(MINIMAL.replace("delta = -1.0", "delta = 0.0"))
+        assert cli.main(["nbody", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        m = json.loads((tmp_path / "r/manifest.json").read_text())
+        assert m["error"] is None
+        assert m["derived"]["carl_bound"] == 0.0
+        assert not {"sc_a0", "s_bgk"} & m["derived"].keys()
 
     def test_successful_run_and_seed_override(self, tmp_path, capsys):
         good = tmp_path / "ok.ini"

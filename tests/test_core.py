@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from oracles import mode_rhs
 from ringcarl import nbody
 from ringcarl import vlasov as vl
 from ringcarl.core import (
@@ -12,7 +13,6 @@ from ringcarl.core import (
     coupling,
     force,
     mode_flow,
-    mode_rhs,
     sample_maxwellian,
     split_run,
     steady_state_fields,
