@@ -22,7 +22,6 @@ import numpy as np
 from .core import DomainError, SystemParams, TimeSeries
 
 __all__ = [
-    "WaveState",
     "WaveValidationReport",
     "asymmetry_for_wave",
     "phase_velocity_solutions",
@@ -34,19 +33,6 @@ __all__ = [
 STATIONARY_SLOPE_TOL = 0.02  # v_cm drift (u-units per 1/kappa) a settled wave stays below
 
 
-@dataclass(frozen=True)
-class WaveState:
-    """Wave diagnostics: phase velocity (u-units), |theta| and Theta=N|theta|."""
-
-    v_ph: float
-    theta_mag: float
-    Theta: float
-
-    def within_order_bound(self, params: SystemParams) -> bool:
-        """The stipulated bound N|u0||theta| <= sqrt(1 + delta^2)."""
-        return abs(params.u0) * self.Theta <= np.sqrt(1.0 + params.delta**2) * (1 + 1e-12)
-
-
 def _pqr(Theta: float, params: SystemParams):
     p = 1.0 + params.delta**2
     q = p - (params.u0 * Theta) ** 2
@@ -54,10 +40,11 @@ def _pqr(Theta: float, params: SystemParams):
     return p, q, r
 
 
-def asymmetry_for_wave(wave: WaveState, params: SystemParams) -> float:
-    """Relative pump asymmetry A/S sustaining the given wave."""
-    w = wave.v_ph / 2.0  # k v_ph in kappa units
-    p, q, r = _pqr(wave.Theta, params)
+def asymmetry_for_wave(v_ph: float, Theta: float, params: SystemParams) -> float:
+    """Relative pump asymmetry A/S sustaining a wave of phase velocity v_ph
+    (u-units) and order Theta = N |theta|."""
+    w = v_ph / 2.0  # k v_ph in kappa units
+    p, q, r = _pqr(Theta, params)
     return -4.0 * params.delta * q * w / (4.0 * p * w**2 + q**2 + r)
 
 
@@ -109,14 +96,13 @@ def wave_direction(params: SystemParams, Theta: float) -> str:
 
 @dataclass
 class WaveValidationReport:
-    v_ph_vcm: float          # trailing-window mean of v_cm (diagnostic only)
     v_ph_phase: float        # wave phase velocity, from the drift of arg theta
     Theta: float
     aos_actual: float
     aos_predicted: float
     residual: float
     settled: bool            # the grating drifts at a steady rate
-    v_ph_predicted: float    # admissible root of the relation nearest v_ph_phase (nan: none)
+    v_ph_predicted: float | None  # root of the relation nearest v_ph_phase (None: no root)
     direction_ok: bool       # False: the rule says with the stronger pump, the wave runs against
 
 
@@ -125,11 +111,11 @@ def validate_wave(series: TimeSeries, params: SystemParams) -> WaveValidationRep
 
     The wave's phase velocity is the grating drift, via
     theta(tau) ~ e^{-i u_ph tau} (u_ph = -d arg(theta)/dtau); the mean
-    particle velocity is reported alongside but lags the wave whenever part
-    of the gas is untrapped, so it is not used in the relation.  The
-    relation is also inverted for the phase velocity it predicts at the
-    measured Theta (:func:`phase_velocity_solutions`), and the drift
-    direction is checked against the stronger-pump rule where
+    particle velocity lags the wave whenever part of the gas is untrapped,
+    so it is not used in the relation.  The relation is also inverted for
+    the phase velocity it predicts at the measured Theta
+    (:func:`phase_velocity_solutions`; None where it has no root), and the
+    drift direction is checked against the stronger-pump rule where
     :func:`wave_direction` asserts it; A = 0 or a standing grating cannot
     contradict it.  A non-stationary trailing window (v_cm slope above
     STATIONARY_SLOPE_TOL) is rejected as invalid input.
@@ -143,30 +129,26 @@ def validate_wave(series: TimeSeries, params: SystemParams) -> WaveValidationRep
         raise DomainError(
             f"trailing window not stationary (v_cm slope {slope:.3g} > {STATIONARY_SLOPE_TOL:g})"
         )
-    v_ph_vcm = float(np.mean(series.v_cm[w]))
     phases = np.unwrap(np.angle(series.theta[w]))
     fit = np.polyfit(tau, phases, 1)
     v_ph_phase = -float(fit[0])
     phase_rms = float(np.std(phases - np.polyval(fit, tau)))
-    theta_mag = float(np.mean(np.abs(series.theta[w])))
-    Theta = params.n_particles * theta_mag
+    Theta = params.n_particles * float(np.mean(np.abs(series.theta[w])))
     # steady rotation: phase fit residuals small against a quarter turn
     settled = phase_rms < np.pi / 4
-    wave = WaveState(v_ph=v_ph_phase, theta_mag=theta_mag, Theta=Theta)
-    predicted = asymmetry_for_wave(wave, params)
+    predicted = asymmetry_for_wave(v_ph_phase, Theta, params)
     actual = params.a_asym / params.s_total if params.s_total > 0 else 0.0
     roots = phase_velocity_solutions(actual, Theta, params)
-    v_ph_predicted = min(roots, key=lambda v: abs(v - v_ph_phase), default=float("nan"))
+    v_ph_predicted = min(roots, key=lambda v: abs(v - v_ph_phase), default=None)
     with_pump = np.sign(v_ph_phase) * np.sign(actual) >= 0
     rule = wave_direction(params, Theta)
     return WaveValidationReport(
-        v_ph_vcm=v_ph_vcm,
         v_ph_phase=v_ph_phase,
         Theta=Theta,
         aos_actual=actual,
         aos_predicted=predicted,
         residual=abs(actual - predicted),
         settled=bool(settled),
-        v_ph_predicted=float(v_ph_predicted),
+        v_ph_predicted=v_ph_predicted,
         direction_ok=bool(with_pump or rule != "with-stronger-pump"),
     )

@@ -140,15 +140,15 @@ def _series_results(cfg: RunConfig, series: TimeSeries, manifest: RunManifest) -
             r["analytic_growth_im"] = float(analytic.growth.imag)
     if label in ("ordered-wave", "carl"):
         with suppress(DomainError):  # raised for a trailing window that is not stationary
-            report = vars(bgk.validate_wave(series, p))
-            r["wave_report"] = {k: v if isinstance(v, bool) else float(v) for k, v in report.items()}
+            r["wave_report"] = vars(bgk.validate_wave(series, p))
     mean_u = cfg.options[cfg.mode]["mean_u"]  # the [nbody] or [vlasov] key
     if mean_u != 0:
         r["slowing_fraction"] = 1.0 - abs(r["trailing_v_cm"]) / abs(mean_u)
 
 
 def _mode_nbody(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    init = nbody.InitialCondition(**cfg.options["nbody"])  # the [nbody] keys are its fields
+    # the [nbody] keys and run.seed are its fields
+    init = nbody.InitialCondition(seed=cfg.seed, **cfg.options["nbody"])
     series = _integrate(
         cfg, manifest, nbody.run, cfg.params, init=init, t_end=cfg.t_end,
         sample_every=cfg.sample_every, dt=cfg.dt,
@@ -215,7 +215,7 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
     labels = {}
     if cfg.options["sweep"]["dynamic"]:
         todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
-        init = nbody.InitialCondition(**cfg.options["nbody"])
+        init = nbody.InitialCondition(seed=cfg.seed, **cfg.options["nbody"])
         runs = [(cfg.params.with_pump_split(*cells[i]), init, cfg.t_end, cfg.dt,
                  cfg.sample_every) for i in todo]
         if threads > 1 and runs:
@@ -392,8 +392,7 @@ def main(argv=None) -> int:
         cfg = parse_config(load_preset(args.preset) if text is None else text)
         if args.seed is not None:
             run = {**cfg.snapshot["run"], "seed": str(args.seed)}
-            cfg = replace(cfg, seed=args.seed, params=replace(cfg.params, seed=args.seed),
-                          snapshot={**cfg.snapshot, "run": run})
+            cfg = replace(cfg, seed=args.seed, snapshot={**cfg.snapshot, "run": run})
         if cfg.mode != ALIASES.get(args.command, args.command):
             raise ConfigError([f"config mode {cfg.mode!r} does not match "
                                f"subcommand {args.command!r}"])

@@ -206,7 +206,6 @@ def parse_config(text: str) -> RunConfig:
             u0=get("physics", "nu0") / n,
             rho_r=get("physics", "rho_r"),
             u_t=get("physics", "u_t"),
-            seed=get("run", "seed"),
         )
     except DomainError as exc:
         raise ConfigError([str(exc)]) from exc
@@ -259,7 +258,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"vlasov.snapshot_every must be > 0, got {snapshot_every}")
     elif snapshot_every is not None and dt > 0 and snapshot_every < dt:
         errors.append(f"vlasov.snapshot_every must be >= run.dt = {dt:g}, got {snapshot_every}")
-    for section, key, ok, rule in (("boundary", "u_t_list", lambda v: v >= 0, ">= 0"),
+    for section, key, ok, rule in (("boundary", "u_t_list", lambda v: v > 0, "> 0"),
                                    ("sweep", "s_over_sc", lambda v: v >= 0, ">= 0"),
                                    ("sweep", "a_over_s", lambda v: abs(v) <= 1, "in [-1, 1]")):
         bad = [v for v in get(section, key) or () if not (math.isfinite(v) and ok(v))]
@@ -268,11 +267,12 @@ def parse_config(text: str) -> RunConfig:
     if mode in ("stability-boundary", "phase-diagram") and base.delta == 0:
         # S drops out of D(s) at delta = 0, so there is no marginal S and no S_c
         errors.append(f"{mode} mode needs delta != 0")
+    if mode in ("stability-boundary", "phase-diagram") and base.u_t <= 0:
+        # a cold gas has no Landau-damped marginal curve, and S_c(A = 0) is 0
+        errors.append(f"{mode} mode needs u_t > 0")
     if mode == "phase-diagram":
         if get("sweep", "s_over_sc") is None or get("sweep", "a_over_s") is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")
-        if base.u_t <= 0:  # the grid is in units of S_c(A = 0), which is 0 for a cold gas
-            errors.append("phase-diagram mode needs u_t > 0")
     if given == "slow-beam":
         if get("nbody", "mean_u") == 0.0:
             errors.append("slow-beam mode needs nbody.mean_u != 0")

@@ -86,7 +86,6 @@ class SystemParams:
     eta_minus: complex
     rho_r: float = 0.01
     u_t: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -131,10 +130,7 @@ class SystemParams:
             raise DomainError(f"|A| = {abs(a_asym)} exceeds S = {s_total}")
         ep = np.sqrt(max((s_total + a_asym) / 2.0, 0.0))
         em = np.sqrt(max((s_total - a_asym) / 2.0, 0.0))
-        return self.with_pumps(complex(ep), complex(em))
-
-    def with_pumps(self, eta_plus: complex, eta_minus: complex) -> "SystemParams":
-        return replace(self, eta_plus=eta_plus, eta_minus=eta_minus)
+        return replace(self, eta_plus=complex(ep), eta_minus=complex(em))
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +311,15 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
 
 
 def sample_maxwellian(
-    params: SystemParams,
-    n: int,
-    mean_u: float = 0.0,
-    rng: np.random.Generator | None = None,
+    params: SystemParams, n: int, rng: np.random.Generator, mean_u: float = 0.0
 ) -> np.ndarray:
-    """Draw n velocities from the thermal distribution.
+    """Draw n velocities from the thermal distribution with ``rng``.
 
     The scaled Maxwell-Boltzmann distribution is a Gaussian with standard
-    deviation u_t / sqrt(2) around ``mean_u``.  Without an explicit ``rng``
-    a fresh generator seeded from ``params.seed`` is used, so repeated calls
-    with the same params are bit-identical.
+    deviation u_t / sqrt(2) around ``mean_u``.
     """
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
     if params.u_t == 0.0:
         return np.full(n, float(mean_u))
     return rng.normal(loc=mean_u, scale=params.u_t / np.sqrt(2.0), size=n)

@@ -81,13 +81,15 @@ class InitialCondition:
     i.i.d. uniform, giving the physical 1/sqrt(N) shot-noise seed.
     Velocities are Maxwellian around ``mean_u``; with ``quiet_velocities``
     they are placed on stratified quantiles of the Maxwellian instead of
-    sampled.
+    sampled.  ``seed`` seeds the generator of the jitter, the random
+    positions and the sampled velocities.
     """
 
     mean_u: float = 0.0
     cosine_eps: float | None = None
     quiet_velocities: bool = False
     random_positions: bool = False
+    seed: int = 0
 
 
 def _erfinv(y: float) -> float:
@@ -113,7 +115,7 @@ def _erfinv(y: float) -> float:
 def _initial_state(params: SystemParams, init: InitialCondition):
     """(a, chi, u): steady-state modes and the seeded particles."""
     n = params.n_particles
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(init.seed)
     grid = TWO_PI * (np.arange(n) + 0.5) / n
     if init.random_positions:
         chi = rng.uniform(0.0, TWO_PI, size=n)
@@ -132,7 +134,7 @@ def _initial_state(params: SystemParams, init: InitialCondition):
         ladder = init.mean_u + params.u_t * np.array([_erfinv(y) for y in 2.0 * q - 1.0])
         u = np.resize(np.tile(ladder, n // m + 1), n)
     else:
-        u = sample_maxwellian(params, n, mean_u=init.mean_u, rng=rng)
+        u = sample_maxwellian(params, n, rng, mean_u=init.mean_u)
     return steady_state_fields(params), chi % TWO_PI, u
 
 

@@ -39,7 +39,7 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
 * Cached table.  I(s) on the contour samples depends only on the
   pump-free physics and R, so it is computed once and reused by every
   cell.  D is affine in (S, A), so the cells of one R are counted in
-  chunks of 32: a few array passes over a (cells x 601) block give D, the
+  chunks of 8: a few array passes over a (cells x 601) block give D, the
   zero-level check, the phase increments, the winding count and, for a
   count of one, the first contour moment.  The cost is per chunk, not per
   cell.
@@ -116,9 +116,6 @@ class BoundaryCurve:
     omega: np.ndarray
     s_total: np.ndarray
     a_asym: np.ndarray
-
-    def __len__(self) -> int:
-        return self.omega.size
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,7 @@ _G_SUP = 1.8227
 _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
-_CHUNK = 32  # cells per array pass of the contour count
+_CHUNK = 8  # cells per array pass: 8 x 601 doubles (38 kB) stay under malloc's mmap threshold
 
 
 def _search_radii(points, params: SystemParams) -> list[float]:
@@ -421,7 +418,7 @@ def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     first axis offset whose winding is unambiguous, where the polygon is
     the contour refined by the count.
     """
-    physics = replace(params, eta_plus=0j, eta_minus=0j, seed=0)
+    physics = replace(params, eta_plus=0j, eta_minus=0j)
 
     def fun(z, *pair):  # pair: I and I' at z where the cached table has them
         return _dispersion_values(z, *(pair or _landau_pair(z, params)),
@@ -472,7 +469,7 @@ def _chunk_starts(points, params: SystemParams, radius: float) -> list:
     Returns per cell (count, starts, took _cell_starts) or the RuntimeError
     of a failed count.
     """
-    s, i_s, _ = _contour_table(replace(params, eta_plus=0j, eta_minus=0j, seed=0), radius, 0.0)
+    s, i_s, _ = _contour_table(replace(params, eta_plus=0j, eta_minus=0j), radius, 0.0)
     s1 = s + 1.0
     free = params.delta**2 + s1**2
     u, v = s1 * i_s, -1j * params.delta * i_s  # D = free + A u + S v

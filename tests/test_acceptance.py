@@ -20,15 +20,15 @@ N_DESK = 10**4
 U_T = 3.0
 
 
-def desk_params(s_over_sc, a_over_s, n=N_DESK, u_t=U_T, delta=DELTA, seed=0):
+def desk_params(s_over_sc, a_over_s, n=N_DESK, u_t=U_T, delta=DELTA):
     base = SystemParams.from_pump_split(
         0.0, 0.0, delta=delta, n_particles=n, u0=-1.0 / n,
-        rho_r=0.01, u_t=u_t, seed=seed,
+        rho_r=0.01, u_t=u_t,
     )
     s = s_over_sc * st.threshold_sc_a0(base)
     return SystemParams.from_pump_split(
         s, a_over_s * s, delta=delta, n_particles=n, u0=-1.0 / n,
-        rho_r=0.01, u_t=u_t, seed=seed,
+        rho_r=0.01, u_t=u_t,
     )
 
 
@@ -158,7 +158,7 @@ def test_criterion_7_carl_bound(fig3_series):
     for frac in np.linspace(0.0, 0.999, 12):
         Theta = frac * np.sqrt(1 + p.delta**2) / abs(p.u0)
         aos = np.abs([
-            bgk.asymmetry_for_wave(bgk.WaveState(2 * w, 0.0, Theta), p)
+            bgk.asymmetry_for_wave(2 * w, Theta, p)
             for w in w_grid
         ])
         sup = max(sup, aos.max())

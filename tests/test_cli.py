@@ -485,9 +485,9 @@ class TestMain:
             capsys.readouterr()
             assert cli.main(["vlasov", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
             assert "must be" in capsys.readouterr().err
-        # sweep grids outside S >= 0 and |A/S| <= 1 or not finite, negative
-        # boundary temperatures, and delta = 0 where S_c(A = 0) diverges
-        # fail before any file is written
+        # sweep grids outside S >= 0 and |A/S| <= 1 or not finite, boundary
+        # temperatures not above 0 (a cold gas has no marginal curve), and
+        # delta = 0 where S_c(A = 0) diverges fail before any file is written
         sweep = MINIMAL.replace("mode = nbody", "mode = phase-diagram") + "\n[sweep]\n"
         boundary = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
         resonant = MINIMAL.replace("delta = -1.0", "delta = 0.0")
@@ -498,6 +498,8 @@ class TestMain:
             ("phase-diagram", sweep.replace("delta = -1.0", "delta = 0.0")
              + "s_over_sc = 0.5\na_over_s = 0.0\n"),
             ("stability-boundary", boundary + "\n[boundary]\nu_t_list = -1\n"),
+            ("stability-boundary", boundary + "\n[boundary]\nu_t_list = 0\n"),
+            ("stability-boundary", boundary.replace("u_t = 3.0", "u_t = 0.0")),
             ("stability-boundary", boundary.replace("delta = -1.0", "delta = 0.0")),
             ("nbody", resonant.replace("s_total = 8.0", "s_over_sc = 2.0")),
         ):
@@ -549,14 +551,21 @@ class TestMain:
 
     def test_run_at_zero_detuning(self, tmp_path, capsys):
         """delta = 0 is resonant CARL (carl_bound 0): an nbody run with
-        s_total set runs; the manifest leaves out the divergent S_c(A = 0)."""
+        s_total set runs; the manifest leaves out the divergent S_c(A = 0),
+        and the wave relation, which has no root there, predicts null, not
+        a NaN that strict JSON rejects."""
         cfg = tmp_path / "resonant.ini"
         cfg.write_text(MINIMAL.replace("delta = -1.0", "delta = 0.0"))
         assert cli.main(["nbody", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
-        m = json.loads((tmp_path / "r/manifest.json").read_text())
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        m = json.loads((tmp_path / "r/manifest.json").read_text(), parse_constant=reject)
         assert m["error"] is None
         assert m["derived"]["carl_bound"] == 0.0
         assert not {"sc_a0", "s_bgk"} & m["derived"].keys()
+        assert m["results"]["wave_report"]["v_ph_predicted"] is None
 
     def test_successful_run_and_seed_override(self, tmp_path, capsys):
         good = tmp_path / "ok.ini"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -307,11 +305,10 @@ class TestRootSearch:
         p = make_params(u_t=2.5)
         sc = st.threshold_sc_a0(p)
         st._contour_table.cache_clear()
-        for seed, r in enumerate(np.linspace(0.5, 3.0, 6)):
+        for r in np.linspace(0.5, 3.0, 6):
             for aos in (0.0, 0.4, 0.8):
                 s, a = r * sc, aos * r * sc
-                cell = replace(p.with_pump_split(s, a), seed=seed)
-                st.max_growth_rate(st.PumpPoint(s, a), cell)
+                st.max_growth_rate(st.PumpPoint(s, a), p.with_pump_split(s, a))
         info = st._contour_table.cache_info()
         assert info.currsize == info.misses <= 3
 
@@ -384,6 +381,18 @@ class TestRegimes:
         p = make_params(u_t=0.0)
         res = st.classify_regime(st.PumpPoint(1.0, 0.0), p)
         assert res.low_confidence
+
+    def test_warm_gas_compares_s_bgk(self):
+        """From u_t = WARM_GAS_UT on, an unstable cell within the asymmetry
+        bound is bgk-ordered above S_BGK and carl below it."""
+        p = make_params(u_t=30.0)
+        s = 2 * st.threshold_sc_a0(p)
+        above, below = st.PumpPoint(s, 0.3 * s), st.PumpPoint(s, 0.6 * s)
+        assert st.s_bgk(p, above.a_asym) < s < st.s_bgk(p, below.a_asym)
+        assert 0.6 < st.carl_bound(p)
+        results = st.classify_regimes([above, below], p)
+        assert [r.regime for r in results] == ["bgk-ordered", "carl"]
+        assert all(r.growth.real > 0 and not r.low_confidence for r in results)
 
     def test_s_bgk_reduces_to_sc_at_zero_asymmetry(self):
         p = make_params(u_t=30.0)

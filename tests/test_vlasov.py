@@ -1,5 +1,6 @@
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestStep:
         """Swapping the pumps while sending chi -> -chi, u -> -u and
         reversing (a+, a-, b+, b-) commutes with the time evolution."""
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
-        pm = p.with_pumps(p.eta_minus, p.eta_plus)
+        pm = replace(p, eta_plus=p.eta_minus, eta_minus=p.eta_plus)
         g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
         # no mirror symmetry in the initial state
         g.f *= (1.0 + 0.3 * np.sin(g.chi))[:, None] * np.exp(0.1 * g.u)[None, :]
@@ -286,6 +287,31 @@ class TestStep:
         g = vl.make_grid(p, nx=16, nv=32)
         with pytest.raises(DomainError):
             vl.vlasov_step(g, steady_state_fields(p), p, -1.0)
+
+    @staticmethod
+    def narrow_grid(p):
+        """A uniform Maxwellian cut at u = +-u_t, so its edges hold mass."""
+        chi = 2 * np.pi * np.arange(16) / 16
+        u = np.linspace(-p.u_t, p.u_t, 32)
+        g = vl.PhaseSpaceGrid(chi, u, np.outer(np.ones(16), np.exp(-((u / p.u_t) ** 2))))
+        g.f /= g.mass()
+        return g
+
+    def test_mass_loss_warns(self):
+        """A kick pushing more than OVERFLOW_WARN out of the domain in one
+        step warns, while the total stays below OVERFLOW_FAIL."""
+        p = make_params()
+        fl = 30.0 * np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
+        with pytest.warns(RuntimeWarning, match="through the u boundary"):
+            g, _ = vl.vlasov_step(self.narrow_grid(p), fl, p, 0.01)
+        assert vl.OVERFLOW_WARN < g.lost_mass < vl.OVERFLOW_FAIL
+
+    def test_mass_loss_fails(self):
+        """Once more than OVERFLOW_FAIL has left in total the step raises."""
+        p = make_params()
+        fl = 3000.0 * np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
+        with pytest.raises(DomainError, match="truncated u domain"):
+            vl.vlasov_step(self.narrow_grid(p), fl, p, 0.01)
 
 
 class TestRun:
