@@ -28,6 +28,7 @@ Takes several minutes.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.ndimage import spline_filter1d
@@ -54,10 +55,9 @@ GROWTH_FIT_FROM = 3.0   # as the vlasov-growth check: tau >= 3 and |theta| < 1e-
 def preset_params(a_over_s: float) -> SystemParams:
     """The preset physics (N = 1e4, N u0 = -1) at S = 2 S_c and the given A/S."""
     n = 10_000
-    base = SystemParams.from_pump_split(0.0, 0.0, delta=-1.0, n_particles=n,
-                                        u0=-1.0 / n, rho_r=0.01, u_t=3.0)
+    base = SystemParams(delta=-1.0, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=3.0)
     s = 2.0 * stability.threshold_sc_a0(base)
-    return base.with_pump_split(s, a_over_s * s)
+    return replace(base, s_total=s, a_asym=a_over_s * s)
 
 
 def fig2_params() -> SystemParams:

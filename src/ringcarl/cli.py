@@ -216,8 +216,8 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
     if cfg.options["sweep"]["dynamic"]:
         todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
         init = nbody.InitialCondition(seed=cfg.seed, **cfg.options["nbody"])
-        runs = [(cfg.params.with_pump_split(*cells[i]), init, cfg.t_end, cfg.dt,
-                 cfg.sample_every) for i in todo]
+        runs = [(replace(cfg.params, s_total=cells[i][0], a_asym=cells[i][1]), init,
+                 cfg.t_end, cfg.dt, cfg.sample_every) for i in todo]
         if threads > 1 and runs:
             with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
                 labels = dict(zip(todo, pool.map(_dynamic_label, runs)))

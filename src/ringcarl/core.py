@@ -30,8 +30,9 @@ are the only places where mass and wavenumber enter.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "DomainError",
     "IntegrationDivergedError",
     "SystemParams",
+    "check_pump_split",
     "TimeSeries",
     "mode_flow",
     "split_run",
@@ -69,21 +71,34 @@ class IntegrationDivergedError(RuntimeError):
         self.tau = tau
 
 
+def check_pump_split(s_total: float, a_asym: float) -> None:
+    """The rule for a pump split (S, A): both finite, S >= 0 and |A| <= S."""
+    if not (math.isfinite(s_total) and math.isfinite(a_asym)):
+        raise DomainError(f"S and A must be finite, got {s_total}, {a_asym}")
+    if s_total < 0:
+        raise DomainError(f"S must be >= 0, got {s_total}")
+    if abs(a_asym) > s_total * (1 + 1e-12):
+        raise DomainError(f"|A| = {abs(a_asym)} exceeds S = {s_total}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Dimensionless physical parameters of one experiment.
 
     ``delta`` is the effective cavity detuning (pump-cavity detuning shifted
     by the collective dispersive shift), ``u0`` the single-particle light
-    shift per photon, both in units of kappa.  ``eta_plus``/``eta_minus``
-    drive the two counterpropagating, orthogonally polarized modes.
+    shift per photon, both in units of kappa.  The pumps are given by their
+    total S = |eta+|^2 + |eta-|^2 and asymmetry A = |eta+|^2 - |eta-|^2.
+    The amplitudes ``eta_plus``/``eta_minus`` derived from them are real:
+    a pump phase on eta+ turns a+ and a- together, one on eta- turns b+ and
+    b- together, so neither enters C and the dynamics see only (S, A).
     """
 
     delta: float
     n_particles: int
     u0: float
-    eta_plus: complex
-    eta_minus: complex
+    s_total: float = 0.0
+    a_asym: float = 0.0
     rho_r: float = 0.01
     u_t: float = 0.0
 
@@ -97,40 +112,24 @@ class SystemParams:
         for name in ("delta", "rho_r", "u_t", "u0"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if not (np.isfinite(self.eta_plus) and np.isfinite(self.eta_minus)):
-            raise DomainError("pump amplitudes must be finite")
+        check_pump_split(self.s_total, self.a_asym)
 
-    # -- derived pump groups ------------------------------------------------
+    # -- derived pump amplitudes, cached: mode_flow reads them every step ---
 
-    @property
-    def s_total(self) -> float:
-        """Total pump parameter S = |eta+|^2 + |eta-|^2."""
-        return abs(self.eta_plus) ** 2 + abs(self.eta_minus) ** 2
+    @functools.cached_property
+    def eta_plus(self) -> complex:
+        """Pump amplitude sqrt((S + A) / 2) of the a+ mode."""
+        return complex(math.sqrt(max((self.s_total + self.a_asym) / 2.0, 0.0)))
 
-    @property
-    def a_asym(self) -> float:
-        """Pump asymmetry A = |eta+|^2 - |eta-|^2 (|A| <= S always)."""
-        return abs(self.eta_plus) ** 2 - abs(self.eta_minus) ** 2
+    @functools.cached_property
+    def eta_minus(self) -> complex:
+        """Pump amplitude sqrt((S - A) / 2) of the b- mode."""
+        return complex(math.sqrt(max((self.s_total - self.a_asym) / 2.0, 0.0)))
 
     @property
     def nu0(self) -> float:
         """Collective coupling N * u0."""
         return self.n_particles * self.u0
-
-    @classmethod
-    def from_pump_split(cls, s_total: float, a_asym: float, **kwargs) -> "SystemParams":
-        """Build params with real pump amplitudes realizing given (S, A)."""
-        return cls(eta_plus=0j, eta_minus=0j, **kwargs).with_pump_split(s_total, a_asym)
-
-    def with_pump_split(self, s_total: float, a_asym: float) -> "SystemParams":
-        """These params with real pump amplitudes realizing given (S, A)."""
-        if s_total < 0:
-            raise DomainError(f"s_total must be >= 0, got {s_total}")
-        if abs(a_asym) > s_total * (1 + 1e-12):
-            raise DomainError(f"|A| = {abs(a_asym)} exceeds S = {s_total}")
-        ep = np.sqrt(max((s_total + a_asym) / 2.0, 0.0))
-        em = np.sqrt(max((s_total - a_asym) / 2.0, 0.0))
-        return replace(self, eta_plus=complex(ep), eta_minus=complex(em))
 
 
 # ---------------------------------------------------------------------------

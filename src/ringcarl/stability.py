@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DomainError, SystemParams
+from .core import DomainError, SystemParams, check_pump_split
 
 __all__ = [
     "PumpPoint",
@@ -101,12 +101,7 @@ class PumpPoint:
     a_asym: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s_total) and math.isfinite(self.a_asym)):
-            raise DomainError(f"S and A must be finite, got {self.s_total}, {self.a_asym}")
-        if self.s_total < 0:
-            raise DomainError(f"S must be >= 0, got {self.s_total}")
-        if abs(self.a_asym) > self.s_total * (1 + 1e-12):
-            raise DomainError(f"|A| = {abs(self.a_asym)} exceeds S = {self.s_total}")
+        check_pump_split(self.s_total, self.a_asym)
 
 
 @dataclass
@@ -418,7 +413,7 @@ def _contour_count(point: PumpPoint, params: SystemParams, radius: float):
     first axis offset whose winding is unambiguous, where the polygon is
     the contour refined by the count.
     """
-    physics = replace(params, eta_plus=0j, eta_minus=0j)
+    physics = replace(params, s_total=0.0, a_asym=0.0)
 
     def fun(z, *pair):  # pair: I and I' at z where the cached table has them
         return _dispersion_values(z, *(pair or _landau_pair(z, params)),
@@ -459,43 +454,47 @@ def _cell_starts(point: PumpPoint, params: SystemParams, radius: float):
 
 
 def _chunk_starts(points, params: SystemParams, radius: float) -> list:
-    """_cell_starts for cells of one search radius, in array passes.
+    """_cell_starts for the cells of one search radius, in array passes.
 
-    On a (cells x contour) block at axis offset 0, in real arithmetic: D =
-    free + A (s+1) I - i delta S I, the zero-level check, the phase
-    increments and winding count, and p_1 for a count of 1.  A cell whose
-    contour hits the zero level, needs refinement, or whose count is not 0
-    or 1, goes through _cell_starts.  Each row depends on its cell alone.
-    Returns per cell (count, starts, took _cell_starts) or the RuntimeError
-    of a failed count.
+    The pump-free terms of D on the contour at axis offset 0 are formed
+    once; then, on a (cells x contour) block of _CHUNK cells at a time, in
+    real arithmetic: D = free + A (s+1) I - i delta S I, the zero-level
+    check, the phase increments and winding count, and p_1 for a count of
+    1.  A cell whose contour hits the zero level, needs refinement, or
+    whose count is not 0 or 1, goes through _cell_starts.  Each row depends
+    on its cell alone.  Returns per cell (count, starts, took _cell_starts)
+    or the RuntimeError of a failed count.
     """
-    s, i_s, _ = _contour_table(replace(params, eta_plus=0j, eta_minus=0j), radius, 0.0)
+    s, i_s, _ = _contour_table(replace(params, s_total=0.0, a_asym=0.0), radius, 0.0)
     s1 = s + 1.0
     free = params.delta**2 + s1**2
     u, v = s1 * i_s, -1j * params.delta * i_s  # D = free + A u + S v
-    a = np.array([[p.a_asym] for p in points])
-    s_tot = np.array([[p.s_total] for p in points])
-    d_re = free.real + a * u.real + s_tot * v.real
-    d_im = free.imag + a * u.imag + s_tot * v.imag
-    mag2 = d_re * d_re + d_im * d_im
-    clear = (mag2 > (_ZERO_LEVEL * np.abs(free)) ** 2).all(axis=1)
-    # phase of D[j+1] / D[j] from D[j+1] conj(D[j])
-    dphi = np.arctan2(d_im[:, 1:] * d_re[:, :-1] - d_re[:, 1:] * d_im[:, :-1],
-                      d_re[:, 1:] * d_re[:, :-1] + d_im[:, 1:] * d_im[:, :-1])
-    count = np.rint(dphi.sum(axis=1) / (2.0 * np.pi))
-    simple = clear & (np.abs(dphi) < np.pi / 2).all(axis=1)
-    one = simple & (count == 1)
+    level2 = (_ZERO_LEVEL * np.abs(free)) ** 2
     # p_1 = (1 / 4 pi i) sum w_j (dlog|D| + i dphi)_j, w_j = s_j + s_j+1, with
     # dlog|D| = d(log |D|^2) / 2
     w = s[1:] + s[:-1]
-    dl2, ph = np.diff(np.log(mag2[one]), axis=1), dphi[one]
-    p1_re = (0.5 * w.imag * dl2 + w.real * ph).sum(axis=1) / (4.0 * np.pi)
-    p1_im = (w.imag * ph - 0.5 * w.real * dl2).sum(axis=1) / (4.0 * np.pi)
     out = [None] * len(points)
-    for i, re, im in zip(np.flatnonzero(one).tolist(), p1_re.tolist(), p1_im.tolist()):
-        out[i] = (1, [complex(re, im)], False)
-    for i in np.flatnonzero(simple & (count == 0)).tolist():
-        out[i] = (0, [], False)
+    for lo in range(0, len(points), _CHUNK):
+        chunk = points[lo:lo + _CHUNK]
+        a = np.array([[p.a_asym] for p in chunk])
+        s_tot = np.array([[p.s_total] for p in chunk])
+        d_re = free.real + a * u.real + s_tot * v.real
+        d_im = free.imag + a * u.imag + s_tot * v.imag
+        mag2 = d_re * d_re + d_im * d_im
+        clear = (mag2 > level2).all(axis=1)
+        # phase of D[j+1] / D[j] from D[j+1] conj(D[j])
+        dphi = np.arctan2(d_im[:, 1:] * d_re[:, :-1] - d_re[:, 1:] * d_im[:, :-1],
+                          d_re[:, 1:] * d_re[:, :-1] + d_im[:, 1:] * d_im[:, :-1])
+        count = np.rint(dphi.sum(axis=1) / (2.0 * np.pi))
+        simple = clear & (np.abs(dphi) < np.pi / 2).all(axis=1)
+        one = simple & (count == 1)
+        dl2, ph = np.diff(np.log(mag2[one]), axis=1), dphi[one]
+        p1_re = (0.5 * w.imag * dl2 + w.real * ph).sum(axis=1) / (4.0 * np.pi)
+        p1_im = (w.imag * ph - 0.5 * w.real * dl2).sum(axis=1) / (4.0 * np.pi)
+        for i, re, im in zip(np.flatnonzero(one).tolist(), p1_re.tolist(), p1_im.tolist()):
+            out[lo + i] = (1, [complex(re, im)], False)
+        for i in np.flatnonzero(simple & (count == 0)).tolist():
+            out[lo + i] = (0, [], False)
     for i, point in enumerate(points):
         if out[i] is None:
             try:
@@ -532,10 +531,8 @@ def _search(points, params: SystemParams, stats: SearchStats | None = None) -> l
         groups.setdefault(r, []).append(i)
     found = [None] * len(points)
     for radius, cells in groups.items():
-        for lo in range(0, len(cells), _CHUNK):
-            chunk = cells[lo:lo + _CHUNK]
-            for i, res in zip(chunk, _chunk_starts([points[i] for i in chunk], params, radius)):
-                found[i] = res
+        for i, res in zip(cells, _chunk_starts([points[i] for i in cells], params, radius)):
+            found[i] = res
     starts = [(i, z) for i, f in enumerate(found) if not isinstance(f, Exception) for z in f[1]]
     roots, steps = _newton_polish(
         [z for _, z in starts],

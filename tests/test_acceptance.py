@@ -6,6 +6,7 @@ whole module is sized for a desk-scale machine (N = 1e4..1e5, minutes).
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,15 +22,9 @@ U_T = 3.0
 
 
 def desk_params(s_over_sc, a_over_s, n=N_DESK, u_t=U_T, delta=DELTA):
-    base = SystemParams.from_pump_split(
-        0.0, 0.0, delta=delta, n_particles=n, u0=-1.0 / n,
-        rho_r=0.01, u_t=u_t,
-    )
+    base = SystemParams(delta=delta, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=u_t)
     s = s_over_sc * st.threshold_sc_a0(base)
-    return SystemParams.from_pump_split(
-        s, a_over_s * s, delta=delta, n_particles=n, u0=-1.0 / n,
-        rho_r=0.01, u_t=u_t,
-    )
+    return replace(base, s_total=s, a_asym=a_over_s * s)
 
 
 def report(num, name, ok):
@@ -104,9 +99,8 @@ def test_criterion_3_landau_oracle():
 def test_criterion_4_momentum_conservation():
     rng = np.random.default_rng(17)
     n = 256
-    p = SystemParams.from_pump_split(
-        8.0, 2.0, delta=DELTA, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=U_T
-    )
+    p = SystemParams(delta=DELTA, n_particles=n, u0=-1.0 / n, s_total=8.0, a_asym=2.0,
+                     rho_r=0.01, u_t=U_T)
     a = rng.normal(size=4) + 1j * rng.normal(size=4)
     chi, u = rng.uniform(0, 2 * np.pi, n), rng.normal(0, 2, n)
     p0 = momentum_invariant(np.mean(u), a, p)

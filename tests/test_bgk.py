@@ -8,9 +8,8 @@ from ringcarl.core import DomainError, SystemParams, TimeSeries
 
 
 def make_params(delta=-1.0, n=10000):
-    return SystemParams.from_pump_split(
-        10.0, 3.0, delta=delta, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=3.0
-    )
+    return SystemParams(delta=delta, n_particles=n, u0=-1.0 / n, s_total=10.0, a_asym=3.0,
+                        rho_r=0.01, u_t=3.0)
 
 
 class TestWaveRelation:
@@ -75,8 +74,8 @@ class TestDirection:
         """N|u0| and |u0| Theta both above sqrt(1 + delta^2): the wave runs
         against the stronger pump; either one below it keeps the rule."""
         p = make_params(n=10)  # u0 = -0.1, N u0 = -1
-        strong = SystemParams.from_pump_split(10.0, 3.0, delta=-1.0, n_particles=10,
-                                              u0=-0.2, rho_r=0.01, u_t=3.0)
+        strong = SystemParams(delta=-1.0, n_particles=10, u0=-0.2, s_total=10.0, a_asym=3.0,
+                              rho_r=0.01, u_t=3.0)
         assert bgk.wave_direction(strong, 10.0) == "against"  # 0.2 * 10 = 2 > sqrt(2)
         assert bgk.wave_direction(strong, 5.0) == "with-stronger-pump"
         assert bgk.wave_direction(p, 20.0) == "with-stronger-pump"  # N |u0| = 1

@@ -89,9 +89,10 @@ class TestParseConfig:
         assert parse_config(smallest).options["vlasov"]["nv"] == 2
 
     def test_slow_beam_rejects_asymmetric(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(SLOW_BEAM.replace("a_over_s = 0.0", "a_over_s = 0.25"))
-        assert any("symmetric pumps" in v for v in err.value.violations)
+        for a_over_s in ("0.25", "1e-15"):  # A is the configured value: any A != 0
+            with pytest.raises(ConfigError) as err:
+                parse_config(SLOW_BEAM.replace("a_over_s = 0.0", f"a_over_s = {a_over_s}"))
+            assert any("symmetric pumps" in v for v in err.value.violations)
 
     def test_grid_syntax(self):
         text = MINIMAL.replace("mode = nbody", "mode = phase-diagram")
@@ -119,6 +120,12 @@ class TestPresets:
         assert cfg.params.delta == -1.0
         assert cfg.params.u_t == 3.0
         assert cfg.params.a_asym / cfg.params.s_total == pytest.approx(0.3)
+
+    def test_pump_split_is_the_configured_one(self):
+        p = parse_config(cli.load_preset("fig3")).params
+        assert p.a_asym == 0.8 * p.s_total
+        p = parse_config(cli.load_preset("slow-beam")).params
+        assert p.s_total == 2 * stability.threshold_sc_a0(p) and p.a_asym == 0.0
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -502,6 +509,9 @@ class TestMain:
             ("stability-boundary", boundary.replace("u_t = 3.0", "u_t = 0.0")),
             ("stability-boundary", boundary.replace("delta = -1.0", "delta = 0.0")),
             ("nbody", resonant.replace("s_total = 8.0", "s_over_sc = 2.0")),
+            # the Vlasov grid needs a thermal width
+            ("vlasov", MINIMAL.replace("mode = nbody", "mode = vlasov").replace(
+                "u_t = 3.0", "u_t = 0.0")),
         ):
             bad.write_text(text)
             out = tmp_path / "grid"

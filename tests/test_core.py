@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,12 @@ from ringcarl.core import (
     split_run,
     steady_state_fields,
 )
+from ringcarl.stability import PumpPoint
 
 
 def make_params(**kw):
     base = dict(delta=-1.0, n_particles=100, u0=-0.01,
-                eta_plus=3.0 + 0j, eta_minus=2.0 + 0j, rho_r=0.01, u_t=3.0)
+                s_total=13.0, a_asym=5.0, rho_r=0.01, u_t=3.0)
     base.update(kw)
     return SystemParams(**base)
 
@@ -29,9 +32,13 @@ def make_params(**kw):
 class TestSystemParams:
     def test_pump_groups(self):
         p = make_params()
-        assert p.s_total == pytest.approx(13.0)
-        assert p.a_asym == pytest.approx(5.0)
+        assert (p.eta_plus, p.eta_minus) == (3.0, 2.0)
         assert p.nu0 == pytest.approx(-1.0)
+        # the amplitudes follow (S, A) and cannot be set
+        with pytest.raises(AttributeError):
+            p.eta_plus = 1.0
+        with pytest.raises(TypeError):
+            replace(p, eta_plus=1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -43,24 +50,27 @@ class TestSystemParams:
         with pytest.raises(DomainError):
             make_params(delta=np.nan)
 
-    def test_from_pump_split_rejects_a_gt_s(self):
+    @pytest.mark.parametrize("s, a", [(-1.0, 0.0), (1.0, 1.5), (1.0, -1.5), (np.nan, 0.0),
+                                      (np.inf, 0.0), (1.0, np.nan), (1.0, -np.inf)])
+    def test_rejects_invalid_pump_split(self, s, a):
         with pytest.raises(DomainError):
-            SystemParams.from_pump_split(
-                1.0, 1.5, delta=-1.0, n_particles=10, u0=-0.1, u_t=1.0
-            )
+            make_params(s_total=s, a_asym=a)
+        with pytest.raises(DomainError):
+            replace(make_params(), s_total=s, a_asym=a)
+        with pytest.raises(DomainError):
+            PumpPoint(s, a)
 
     @given(
         s=hst.floats(min_value=1e-6, max_value=1e8),
         frac=hst.floats(min_value=-1.0, max_value=1.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_from_pump_split_roundtrip(self, s, frac):
+    def test_amplitudes_roundtrip(self, s, frac):
         a = frac * s
-        p = SystemParams.from_pump_split(
-            s, a, delta=-1.0, n_particles=10, u0=-0.1, u_t=1.0
-        )
-        assert p.s_total == pytest.approx(s, rel=1e-12)
-        assert p.a_asym == pytest.approx(a, rel=1e-9, abs=1e-9 * s)
+        p = make_params(s_total=s, a_asym=a)
+        plus, minus = abs(p.eta_plus) ** 2, abs(p.eta_minus) ** 2
+        assert plus + minus == pytest.approx(s, rel=1e-12)
+        assert plus - minus == pytest.approx(a, rel=1e-9, abs=1e-9 * s)
 
 
 class TestEnsemble:

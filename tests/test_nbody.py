@@ -17,14 +17,10 @@ SEED = 3  # the seed of every run and start below
 
 
 def make_params(**kw):
-    base = dict(delta=-1.0, n_particles=64, u0=-1.0 / 64,
+    base = dict(delta=-1.0, n_particles=64, u0=-1.0 / 64, s_total=8.0, a_asym=2.0,
                 rho_r=0.01, u_t=3.0)
     base.update(kw)
-    s = kw.pop("s_total", 8.0)
-    a = kw.pop("a_asym", 2.0)
-    base.pop("s_total", None)
-    base.pop("a_asym", None)
-    return SystemParams.from_pump_split(s, a, **base)
+    return SystemParams(**base)
 
 
 def random_state(params, rng=None):
@@ -124,7 +120,7 @@ class TestSymmetries:
         """Swapping the pumps while flipping chi, u maps solutions onto
         solutions: (a+,a-,b+,b-) -> (b-,b+,a-,a+)."""
         p = make_params()
-        pm = replace(p, eta_plus=p.eta_minus, eta_minus=p.eta_plus)
+        pm = replace(p, a_asym=-p.a_asym)
         s = random_state(p)
 
         def mirror(st):

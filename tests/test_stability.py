@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,9 +11,7 @@ from ringcarl.core import DomainError, SystemParams
 
 
 def make_params(u_t=3.0, delta=-1.0, n=10000):
-    return SystemParams.from_pump_split(
-        0.0, 0.0, delta=delta, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=u_t
-    )
+    return SystemParams(delta=delta, n_particles=n, u0=-1.0 / n, rho_r=0.01, u_t=u_t)
 
 
 def _winding_number(point, p, corners, n0=64):
@@ -142,7 +142,7 @@ class TestRoots:
         p = make_params()
         s = 2 * st.threshold_sc_a0(p)
         point = st.PumpPoint(s, 0.0)
-        root = st.max_growth_rate(point, p.with_pump_split(s, 0.0))
+        root = st.max_growth_rate(point, replace(p, s_total=s))
         assert root is not None and root.real > 0
         # the root actually solves D(s) = 0
         assert abs(st.dispersion(root, point, p)) < 1e-8
@@ -308,7 +308,7 @@ class TestRootSearch:
         for r in np.linspace(0.5, 3.0, 6):
             for aos in (0.0, 0.4, 0.8):
                 s, a = r * sc, aos * r * sc
-                st.max_growth_rate(st.PumpPoint(s, a), p.with_pump_split(s, a))
+                st.max_growth_rate(st.PumpPoint(s, a), replace(p, s_total=s, a_asym=a))
         info = st._contour_table.cache_info()
         assert info.currsize == info.misses <= 3
 

@@ -25,7 +25,7 @@ TWO_PI = 2 * np.pi
 def make_params(s=8.0, a=2.0, **kw):
     base = dict(delta=-1.0, n_particles=1000, u0=-1e-3, rho_r=0.01, u_t=3.0)
     base.update(kw)
-    return SystemParams.from_pump_split(s, a, **base)
+    return SystemParams(s_total=s, a_asym=a, **base)
 
 
 class TestGrid:
@@ -260,7 +260,7 @@ class TestStep:
         """Swapping the pumps while sending chi -> -chi, u -> -u and
         reversing (a+, a-, b+, b-) commutes with the time evolution."""
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
-        pm = replace(p, eta_plus=p.eta_minus, eta_minus=p.eta_plus)
+        pm = replace(p, a_asym=-p.a_asym)
         g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
         # no mirror symmetry in the initial state
         g.f *= (1.0 + 0.3 * np.sin(g.chi))[:, None] * np.exp(0.1 * g.u)[None, :]
@@ -388,7 +388,7 @@ class TestRun:
         n = 10_000
         base = make_params(0.0, 0.0, n_particles=n, u0=-1.0 / n)
         s = 2.0 * stability.threshold_sc_a0(base)
-        p = base.with_pump_split(s, 0.3 * s)
+        p = replace(base, s_total=s, a_asym=0.3 * s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             series, snaps = vl.run_vlasov(p, t_end=20.0, dt=1e-2, cosine_eps=0.05,
