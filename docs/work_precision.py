@@ -5,9 +5,9 @@
 N-body: runs the fig2 preset physics (N = 1e4, S = 2 S_c, A/S = 0.3) from
 the 1 + 0.05 cos(chi) quiet start of the ``nbody-wave`` benchmark workload
 up to tau = 10, with the kick-drift-kick Strang step of ``ringcarl.nbody.run``
-(whose drift rotates sin chi and cos chi), with the same step and the
-earlier drift that takes a direct sin/cos pass every step (kept here as the
-reference scheme), and with classical RK4 of the full coupled system (kept
+(whose drift rotates e^{i chi}), with the same step and the earlier drift
+that takes a direct sin/cos pass every step (kept here as the reference
+scheme), and with classical RK4 of the full coupled system (kept
 here as the reference integrator; the package no longer ships it) at
 several dt.  The error is max |theta(tau) - theta_ref(tau)| over the
 samples every 0.1, against RK4 at dt = 2.5e-4.  One markdown table row per
@@ -65,16 +65,15 @@ def fig2_params() -> SystemParams:
 
 
 def _rhs(a, chi, u, params):
-    sin_chi, cos_chi = np.sin(chi), np.cos(chi)
-    theta = complex(np.sum(cos_chi), -np.sum(sin_chi)) / chi.size
-    return mode_rhs(a, theta, params), u, force(sin_chi, cos_chi, coupling(a), params)
+    phase, theta = nbody._phases(chi)
+    return mode_rhs(a, theta, params), u, force(phase, coupling(a), params)
 
 
 def rk4_theta(params: SystemParams, dt: float) -> np.ndarray:
     """theta at every sample of a classical RK4 run (four trig passes a step)."""
     a, chi, u = nbody._initial_state(params, INIT)
     stride = int(round(SAMPLE_EVERY / dt))
-    thetas = [nbody._phases(chi)[2]]
+    thetas = [nbody._phases(chi)[1]]
     for i in range(1, int(round(T_END / dt)) + 1):
         k1 = _rhs(a, chi, u, params)
         k2 = _rhs(*(x + 0.5 * dt * k for x, k in zip((a, chi, u), k1)), params)
@@ -83,7 +82,7 @@ def rk4_theta(params: SystemParams, dt: float) -> np.ndarray:
         a, chi, u = (x + (dt / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
                      for x, q1, q2, q3, q4 in zip((a, chi, u), k1, k2, k3, k4))
         if i % stride == 0:
-            thetas.append(nbody._phases(chi)[2])
+            thetas.append(nbody._phases(chi)[1])
     return np.array(thetas)
 
 
@@ -95,7 +94,7 @@ def direct_drift(state, h):
     """The earlier N-body drift: chi += u h, then a direct sin/cos pass."""
     a, chi, u, work = state
     chi += h * u
-    nbody._phases(chi, work)
+    nbody._phases(chi, work[0])
     return state
 
 

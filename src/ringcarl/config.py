@@ -244,9 +244,10 @@ def parse_config(text: str) -> RunConfig:
                     ("sample_every", get("run", "sample_every"))):
         if not v > 0:
             errors.append(f"run.{name} must be > 0, got {v}")
-        elif name == "sample_every" and dt > 0 and v < dt:
-            # split_run rounds intervals to whole steps, at least one
-            errors.append(f"run.sample_every must be >= run.dt = {dt:g}, got {v}")
+        elif name != "dt" and dt > 0 and v < dt:
+            # split_run rounds intervals to whole steps, at least one; a run
+            # shorter than dt would take none
+            errors.append(f"run.{name} must be >= run.dt = {dt:g}, got {v}")
     for section, key, low in (("vlasov", "nx", 1), ("vlasov", "nv", 2),
                               ("boundary", "n_omega", 1)):
         if get(section, key) < low:

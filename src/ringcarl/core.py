@@ -152,38 +152,41 @@ def mode_flow(a: np.ndarray, theta: complex, params: SystemParams, h: float,
     """Exact flow of the mode equations over a time h at fixed theta, and its kick.
 
     Returns (a(h), J) with J = integral_0^h C dtau along the flow, so that
-    ``force(sin_chi, cos_chi, J, params)`` is the velocity kick of particles
-    held at chi meanwhile.  Each mode pair (a+, a-), (b+, b-) obeys
+    ``force(e^{i chi}, J, params)`` is the velocity kick of particles held
+    at chi meanwhile.  Each mode pair (a+, a-), (b+, b-) obeys
     x' = (lambda + K) x + eta with K^2 = -omega^2, omega = |N u0 theta|, so
 
         x(t) = x* + e^{lambda t} [cos(omega t) + sin(omega t)/omega K] (x0 - x*)
 
     around its fixed point x* (zero in the closed system, which has no
     pumps).  J is the 4-node Gauss-Legendre rule on that trajectory, exact
-    to rounding for h well below 1/|lambda| and 1/omega.  Python scalars
-    beat numpy on four amplitudes at five times.
+    to rounding for h well below 1/|lambda| and 1/omega.  Python scalars,
+    one name per amplitude, beat numpy and lists on four amplitudes at five
+    times.
     """
     lam = 1j * params.delta - (0.0 if hamiltonian else 1.0)
     theta = complex(theta)
     k_plus = -1j * params.nu0 * theta                 # a+ <- a-, b+ <- b-
     k_minus = -1j * params.nu0 * theta.conjugate()    # a- <- a+, b- <- b+
     omega = abs(k_plus)
-    fixed = [0j] * 4
+    f0 = f1 = f2 = f3 = 0j  # the fixed point x*
     if not hamiltonian:
         # (lambda + K)^-1 = (lambda - K) / (lambda^2 + omega^2), and
         # lambda^2 + omega^2 = -lambda m with m != 0 as Re lambda = -1;
         # at theta = 0 this is steady_state_fields to the last bit
         m = -lam - omega**2 / lam
-        fixed[0], fixed[3] = params.eta_plus / m, params.eta_minus / m
-        fixed[1], fixed[2] = -k_minus / lam * fixed[0], -k_plus / lam * fixed[3]
-    d = [x - f for x, f in zip(a.tolist(), fixed)]
-    kd = [k_plus * d[1], k_minus * d[0], k_plus * d[3], k_minus * d[2]]
+        f0, f3 = params.eta_plus / m, params.eta_minus / m
+        f1, f2 = -k_minus / lam * f0, -k_plus / lam * f3
+    a0, a1, a2, a3 = a.tolist()
+    d0, d1, d2, d3 = a0 - f0, a1 - f1, a2 - f2, a3 - f3
+    y0, y1, y2, y3 = k_plus * d1, k_minus * d0, k_plus * d3, k_minus * d2  # K d
 
     def at(t):
         wt = omega * t
         e = cmath.exp(lam * t)
         c, s = e * math.cos(wt), e * t * (math.sin(wt) / wt if wt else 1.0)
-        return [f + c * x + s * y for f, x, y in zip(fixed, d, kd)]
+        return (f0 + c * d0 + s * y0, f1 + c * d1 + s * y1,
+                f2 + c * d2 + s * y2, f3 + c * d3 + s * y3)
 
     return np.array(at(h)), h * sum(w * coupling(at(h * t)) for t, w in _GL_RULE)
 
@@ -197,23 +200,17 @@ def coupling(a: np.ndarray) -> complex:
     return a[0] * a[1].conjugate() + a[2] * a[3].conjugate()
 
 
-def force(sin_chi, cos_chi, c: complex, params: SystemParams, work=None):
-    """Scaled acceleration du/dtau = 2 rho_r u0 Im[C e^{i chi}].
+def force(phase, c: complex, params: SystemParams, out=None):
+    """Scaled acceleration du/dtau = 2 rho_r u0 Im[C e^{i chi}] at phase = e^{i chi}.
 
-    Takes sin(chi) and cos(chi) so a caller that already has them pays no
-    second trig pass.  This is -rho_r d(phi)/d(chi): particles are pushed
-    towards the minima of the optical potential.  ``work``, a float array
-    of shape (2,) + shape(sin_chi), holds the intermediates, and work[0]
-    the returned force, so a caller that steps many times allocates nothing.
+    The imaginary part of one complex product, so a caller that already has
+    e^{i chi} pays no trig pass.  This is -rho_r d(phi)/d(chi): particles
+    are pushed towards the minima of the optical potential.  ``out``, a
+    complex array of the shape of ``phase``, receives the product (the
+    result is a view of it), so a caller that steps many times allocates
+    nothing.
     """
-    if work is None:
-        work = np.empty((2,) + np.shape(sin_chi))
-    out, tmp = work
-    # Im[C e^{i chi}] = Re(C) sin(chi) + Im(C) cos(chi)
-    np.multiply(sin_chi, c.real, out=out)
-    out += np.multiply(cos_chi, c.imag, out=tmp)
-    out *= 2.0 * params.rho_r * params.u0
-    return out
+    return np.multiply(phase, (2.0 * params.rho_r * params.u0) * c, out=out).imag
 
 
 def field_momentum(intensities: np.ndarray):
@@ -272,12 +269,13 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
     step.  ``sample(state)`` gives the row (theta, v_cm, kinetic_energy, a)
     and may check the state; an IntegrationDivergedError from it or a part
     is re-raised with tau = i dt of its step.  Returns the TimeSeries and
-    the (tau, state) snapshots from tau = 0, or only the final state if
-    ``snapshot_every`` is None.  ``inner`` always receives the state that
-    ``outer`` just made, and split_run keeps no other reference to it, so
-    inner may hand that state's arrays back for reuse; other than that,
-    parts may update arrays in place only if no snapshots are kept.  With
-    t_end = sample_every = dt it is one unfused step, which is how the
+    the (tau, state) snapshots: from tau = 0, every snapshot step and the
+    last step (once, if that is a snapshot step too), or only the final
+    state if ``snapshot_every`` is None.  ``inner`` always receives the
+    state that ``outer`` just made, and split_run keeps no other reference
+    to it, so inner may hand that state's arrays back for reuse; other than
+    that, parts may update arrays in place only if no snapshots are kept.
+    With t_end = sample_every = dt it is one unfused step, which is how the
     solvers' single steps run.
     """
     if not (t_end > 0 and dt > 0):
@@ -293,7 +291,7 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
         for i in range(1, n_steps + 1):
             tau = i * dt
             state, pending = inner(outer(state, pending), dt), dt
-            snap = snap_stride is not None and i % snap_stride == 0
+            snap = snap_stride is not None and (i % snap_stride == 0 or i == n_steps)
             if i % stride == 0 or snap or i == n_steps:
                 state, pending = outer(state, half), half
                 if i % stride == 0:

@@ -13,15 +13,18 @@ theta is constant, the modes follow their closed-form linear flow
 (:func:`ringcarl.core.mode_flow`) and u gains force(J) with J the time
 integral of C along that flow.
 
-Each step needs sin chi and cos chi of every particle, for theta and the
-force.  Rather than a sin/cos pass per step, the drift rotates the pair by
-the angle e = u dt it moves each phase, with cos e and sin e from short
-Taylor polynomials that are exact to rounding for |e| <= ROTATE_MAX.  The
-direct pass runs only at each sample (on the wrapped chi, so rounding in the
-rotation lasts at most one sample interval) and on any step that moves a
-phase further than ROTATE_MAX.  The pair and the scratch arrays of the step
-are allocated once per :func:`run` or :func:`step` call and travel with
-(a, chi, u) as a fourth entry, ``work``.
+Each step needs e^{i chi} of every particle, for theta and the force, and
+keeps it as one complex array z.  Rather than a sin/cos pass per step, the
+drift multiplies z by w = e^{ie}, the rotation by the angle e = u dt it moves
+each phase, with cos e and sin e from short Taylor polynomials in e^2 whose
+degree follows the largest |e| of the step: exact to rounding up to
+ROTATE_MAX.  theta = conj(sum z) / N is one complex sum and the force the
+imaginary part of one complex product.  The direct pass runs only at each
+sample (on the wrapped chi, so rounding in the rotation lasts at most one
+sample interval) and on any step that moves a phase further than
+ROTATE_MAX.  z and the scratch arrays of the step are allocated once per
+:func:`run` or :func:`step` call and travel with (a, chi, u) as a fourth
+entry, ``work``.
 """
 
 from __future__ import annotations
@@ -61,11 +64,15 @@ SLOPE_TOL = 2e-3  # v_cm drift (u-units per 1/kappa) above this: runaway
 # the default start's position jitter, in units of the grid spacing 2 pi / N
 EPS_INIT = 1e-3
 
-# the drift rotates (sin chi, cos chi) while no phase moves further than this
+# the drift rotates e^{i chi} while no phase moves further than this
 ROTATE_MAX = 1.0 / 16.0
-# Taylor coefficients in e^2 from the highest power: cos e to e^8, sin(e)/e to e^8
-_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(4, -1, -1))
-_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, -1))
+# (bound on e^2, cos e, sin(e)/e): Taylor coefficients in e^2 from the highest
+# power, cos to e^6 and sin to e^7 for |e| <= 1/32, to e^8 and e^9 up to ROTATE_MAX
+_TAYLOR_TIERS = tuple(
+    (bound**2,
+     tuple((-1) ** k / math.factorial(2 * k) for k in range(top, -1, -1)),
+     tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(top, -1, -1)))
+    for bound, top in ((1.0 / 32.0, 3), (ROTATE_MAX, 4)))
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
@@ -138,69 +145,82 @@ def _initial_state(params: SystemParams, init: InitialCondition):
     return steady_state_fields(params), chi % TWO_PI, u
 
 
-def _work(n: int) -> np.ndarray:
-    """The step's arrays: sin chi, cos chi and five scratch rows of n."""
-    return np.empty((7, n))
+def _work(n: int):
+    """The step's arrays (z, w, e, e2, tmp), views of one block of 7 n floats:
+    z = e^{i chi}; w, the drift's rotation and the kick's product; e = u h,
+    e^2 and a scratch row of the drift."""
+    block = np.empty(7 * n)
+    z, w = block[:4 * n].view(complex).reshape(2, n)
+    return (z, w, *block[4 * n:].reshape(3, n))
 
 
-def _theta(sin_chi, cos_chi) -> complex:
-    return complex(np.sum(cos_chi), -np.sum(sin_chi)) / sin_chi.size
+def _theta(z) -> complex:
+    return complex(np.sum(z)).conjugate() / z.size
 
 
-def _phases(chi, work=None):
-    """(sin chi, cos chi, theta) from one direct trig pass, into work[0] and work[1] if given."""
-    sin_chi = np.sin(chi, out=None if work is None else work[0])
-    cos_chi = np.cos(chi, out=None if work is None else work[1])
-    return sin_chi, cos_chi, _theta(sin_chi, cos_chi)
+def _phases(chi, z=None):
+    """(e^{i chi}, theta) from one direct trig pass, into z if given."""
+    if z is None:
+        z = np.empty(chi.shape, complex)
+    np.cos(chi, out=z.real)
+    np.sin(chi, out=z.imag)
+    return z, _theta(z)
 
 
 def _kick(state, h, params, hamiltonian=False):
     """The modes after h at fixed chi, and u kicked meanwhile (in place).
 
-    theta and the force read the same (sin chi, cos chi), so the kick keeps
-    the momentum invariant whether that pair was rotated or computed.
+    theta and the force read the same z = e^{i chi}, so the kick keeps the
+    momentum invariant whether z was rotated or computed.
     """
     a, chi, u, work = state
-    sin_chi, cos_chi = work[0], work[1]
-    a, j = mode_flow(a, _theta(sin_chi, cos_chi), params, h, hamiltonian)
-    u += force(sin_chi, cos_chi, j, params, work[2:4])
+    z, w = work[0], work[1]
+    a, j = mode_flow(a, _theta(z), params, h, hamiltonian)
+    u += force(z, j, params, w)
     return a, chi, u, work
 
 
-def _horner(x, coeffs, out):
-    """out = the polynomial in x with coefficients from the highest power."""
-    np.multiply(x, coeffs[0], out=out)
+def _horner(x, coeffs, tmp, out):
+    """out = the polynomial in x with coefficients from the highest power,
+    built up in tmp (which may be out)."""
+    np.multiply(x, coeffs[0], out=tmp)
     for c in coeffs[1:-1]:
-        out += c
-        out *= x
-    out += coeffs[-1]
-    return out
+        tmp += c
+        tmp *= x
+    return np.add(tmp, coeffs[-1], out=out)
+
+
+def _rotor(e, e2, w, tmp) -> bool:
+    """w = e^{ie} = cos e + i sin e for e2 = e^2, with tmp as scratch.
+
+    The Taylor tier covering max e2 gives cos e within 0.5 ulp(1) of np.cos
+    and sin e within 1 ulp of np.sin: to e^6 and e^7 for |e| <= 1/32, to
+    e^8 and e^9 up to ROTATE_MAX.  Returns False, w untouched, beyond that
+    (also for a non-finite e).  The polynomials run in the contiguous tmp:
+    in place on the strided w.real and w.imag they take twice as long.
+    """
+    top = e2.max()
+    for bound, cos_coeffs, sin_coeffs in _TAYLOR_TIERS:
+        if top <= bound:
+            _horner(e2, cos_coeffs, tmp, w.real)
+            np.multiply(_horner(e2, sin_coeffs, tmp, tmp), e, out=w.imag)
+            return True
+    return False
 
 
 def _drift(state, h):
-    """chi += e = u h, and (sin chi, cos chi) rotated by e (all in place).
-
-    cos e and sin e come from their Taylor polynomials to e^8 and e^9, within
-    1.1e-16 of np.cos and np.sin for |e| <= ROTATE_MAX; a step moving any
-    phase further gets the direct trig pass instead.
-    """
+    """chi += e = u h, and z = e^{i chi} rotated by e^{ie} (all in place);
+    a step moving any phase further than ROTATE_MAX gets the direct trig
+    pass instead."""
     a, chi, u, work = state
-    sin_chi, cos_chi, e, e2, cos_e, sin_e, tmp = work
+    z, w, e, e2, tmp = work
     np.multiply(u, h, out=e)
     chi += e
     np.multiply(e, e, out=e2)
-    if not e2.max() <= ROTATE_MAX**2:  # also true for a non-finite u
-        _phases(chi, work)
-        return state
-    _horner(e2, _COS_TAYLOR, cos_e)
-    _horner(e2, _SIN_TAYLOR, sin_e)
-    sin_e *= e
-    # sin(chi + e) = sin chi cos e + cos chi sin e, cos(chi + e) = cos chi cos e - sin chi sin e
-    np.multiply(sin_chi, sin_e, out=tmp)
-    sin_chi *= cos_e
-    sin_chi += np.multiply(cos_chi, sin_e, out=e2)
-    cos_chi *= cos_e
-    cos_chi -= tmp
+    if _rotor(e, e2, w, tmp):
+        z *= w
+    else:
+        _phases(chi, z)
     return state
 
 
@@ -221,13 +241,13 @@ def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
 
 
 def _sample(state):
-    """Check the state, wrap chi and recompute (sin chi, cos chi) from it
-    (in place); the row (theta, v_cm, kinetic_energy, a)."""
+    """Check the state, wrap chi and recompute z = e^{i chi} from it (in
+    place); the row (theta, v_cm, kinetic_energy, a)."""
     a, chi, u, work = state
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(u))):
         raise IntegrationDivergedError(float("nan"))
     chi %= TWO_PI
-    return _phases(chi, work)[2], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
+    return _phases(chi, work[0])[1], float(np.mean(u)), float(np.mean(u**2) / 2.0), a
 
 
 def run(
@@ -243,7 +263,7 @@ def run(
     with the half kicks between steps fused, in one set of work arrays.
     Sampling, the finiteness check and the direct trig pass happen every
     round(sample_every/dt) steps, including tau = 0; in between, the drift
-    rotates (sin chi, cos chi).  Against repeated :func:`step` only
+    rotates e^{i chi}.  Against repeated :func:`step` only
     rounding differs.
     """
     a, chi, u = _initial_state(params, init or InitialCondition())

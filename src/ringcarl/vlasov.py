@@ -60,7 +60,6 @@ from .core import (
     DomainError,
     IntegrationDivergedError,
     SystemParams,
-    force,
     mode_flow,
     split_run,
     steady_state_fields,
@@ -415,7 +414,9 @@ def _kick(state, h, params, hamiltonian=False):
     """
     grid, a, space = state
     a, j = mode_flow(a, _theta(grid), params, h, hamiltonian)
-    kick = force(np.sin(grid.chi), np.cos(grid.chi), j, params)
+    # core.force term by term, rounded as before: the fused multiply-adds of
+    # numpy's complex product would move f in the last bits
+    kick = (np.sin(grid.chi) * j.real + np.cos(grid.chi) * j.imag) * (2 * params.rho_r * params.u0)
     if not np.all(np.isfinite(kick)):  # a non-finite shift has no integer offset
         raise IntegrationDivergedError(float("nan"))
     out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du, space))

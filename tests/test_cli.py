@@ -261,6 +261,20 @@ class TestRunExperiment:
         assert len(lines) == 17
         assert len(lines[1].split()) == 32
 
+    def test_final_state_closes_the_snapshots(self, tmp_path):
+        """A snapshot interval that does not divide t_end still ends the
+        snapshots with the final state, and lost_mass is that state's."""
+        text = MINIMAL.replace("mode = nbody", "mode = vlasov").replace(
+            "n_particles = 64", "n_particles = 10000").replace("s_total = 8.0", "s_over_sc = 2.0")
+        cfg = parse_config(text + "\n[vlasov]\nnx = 32\nnv = 64\nsnapshot_every = 0.3\n")
+        manifest = cli.run_experiment(cfg, tmp_path)
+        _, snaps = vlasov.run_vlasov(cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every,
+                                     dt=cfg.dt, **cfg.options["vlasov"])
+        assert [tau for tau, _ in snaps] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        assert "snapshot_tau1.txt" in manifest.files
+        assert (tmp_path / "snapshot_tau1.txt").exists()
+        assert manifest.results["lost_mass"] == snaps[-1][1].lost_mass
+
     def test_snapshot_bytes(self, tmp_path):
         """Each value is written as its shortest round-trip text, as _fmt
         writes it: signed zeros, subnormals and undershoots included."""
@@ -512,6 +526,10 @@ class TestMain:
             # the Vlasov grid needs a thermal width
             ("vlasov", MINIMAL.replace("mode = nbody", "mode = vlasov").replace(
                 "u_t = 3.0", "u_t = 0.0")),
+            # a run shorter than dt (0.05) takes no step
+            ("nbody", MINIMAL.replace("t_end = 1.0", "t_end = 0.02")),
+            ("vlasov", MINIMAL.replace("mode = nbody", "mode = vlasov").replace(
+                "t_end = 1.0", "t_end = 0.02")),
         ):
             bad.write_text(text)
             out = tmp_path / "grid"

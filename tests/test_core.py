@@ -82,9 +82,9 @@ class TestEnsemble:
 
     def test_order_parameter_limits(self):
         # perfectly bunched -> |theta| = 1; uniform grid -> 0
-        theta = nbody._phases(np.full(64, 1.3))[2]
+        theta = nbody._phases(np.full(64, 1.3))[1]
         assert abs(theta) == pytest.approx(1.0)
-        theta = nbody._phases(2 * np.pi * np.arange(64) / 64)[2]
+        theta = nbody._phases(2 * np.pi * np.arange(64) / 64)[1]
         assert abs(theta) < 1e-12
 
 
@@ -99,7 +99,7 @@ class TestPotential:
 
         h = 1e-6
         grad = (phi(chi + h) - phi(chi - h)) / (2 * h)
-        np.testing.assert_allclose(force(np.sin(chi), np.cos(chi), c, p),
+        np.testing.assert_allclose(force(np.exp(1j * chi), c, p),
                                    -p.rho_r * grad, rtol=1e-7)
 
     def test_flat_without_backscatter(self):
@@ -107,7 +107,7 @@ class TestPotential:
         c = coupling(steady_state_fields(p))
         assert c == 0
         chi = np.linspace(0, 6, 5)
-        assert np.all(force(np.sin(chi), np.cos(chi), c, p) == 0)
+        assert np.all(force(np.exp(1j * chi), c, p) == 0)
 
 
 def rk4_modes(a, theta, params, h, n, hamiltonian=False):
@@ -184,7 +184,13 @@ class TestSplitRun:
         h, half = 0.125, 0.0625
         assert outer == [half, h, h, half, half, half, half, h, half, half, h, half]
         assert series.tau.tolist() == [0.0, 0.5, 1.0]
-        assert snaps == [(0.0, 0), (0.375, 7), (0.75, 15)]
+        # the last step's state closes the list, though 8 is no multiple of 3
+        assert snaps == [(0.0, 0), (0.375, 7), (0.75, 15), (1.0, 20)]
+
+    def test_last_snapshot_step_is_not_repeated(self):
+        _, _, snaps = self.logged_run(t_end=0.75, sample_every=0.25, dt=0.125,
+                                      snapshot_every=0.375)
+        assert [tau for tau, _ in snaps] == [0.0, 0.375, 0.75]
 
     def test_final_state_without_snapshots(self):
         log, series, snaps = self.logged_run(t_end=0.5, sample_every=0.3, dt=0.1)
@@ -243,7 +249,7 @@ class TestSteadyState:
         a = steady_state_fields(p)
         theta = (np.sum(np.cos(chi)) - 1j * np.sum(np.sin(chi))) / n
         da = mode_rhs(a, theta, p)
-        du = force(np.sin(chi), np.cos(chi), coupling(a), p)
+        du = force(np.exp(1j * chi), coupling(a), p)
         assert np.max(np.abs(da)) < 1e-12 * max(abs(p.eta_plus), 1.0)
         assert np.max(np.abs(du)) < 1e-14
 

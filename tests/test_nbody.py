@@ -39,7 +39,7 @@ def evolve(state, params, dt, n, hamiltonian=False):
 
 
 class TestIntegrator:
-    def test_rk4_order(self):
+    def test_strang_order(self):
         """Halving dt reduces the one-interval error about 4-fold: the
         Strang step is second order."""
         p = make_params()
@@ -175,44 +175,45 @@ class TestRunAndClassify:
         for k in range(1, 5):
             a, chi, u = evolve((a, chi, u), p, 0.01, 25)
             i = series.tau.tolist().index(pytest.approx(0.25 * k))
-            np.testing.assert_allclose(series.theta[i], nbody._phases(chi)[2], rtol=1e-12)
+            np.testing.assert_allclose(series.theta[i], nbody._phases(chi)[1], rtol=1e-12)
             np.testing.assert_allclose(series.intensities[i], np.abs(a) ** 2, rtol=1e-12)
             assert series.v_cm[i] == pytest.approx(np.mean(u), rel=1e-12, abs=1e-15)
 
     def test_run_resyncs_phases_at_each_sample(self, monkeypatch):
-        """After every sample inside run, sin chi and cos chi are, bit for
-        bit, np.sin and np.cos of the wrapped chi, and the sampled theta is
-        theirs: rounding in the rotation lasts one sample interval at most."""
+        """After every sample inside run, z = e^{i chi} holds, bit for bit,
+        np.cos and np.sin of the wrapped chi, and the sampled theta is its:
+        rounding in the rotation lasts one sample interval at most."""
         p = make_params(n_particles=257)
         sample, seen = nbody._sample, []
 
         def spy(state):
             row = sample(state)
             _, chi, _, work = state
-            seen.append((row[0], chi.copy(), work[0].copy(), work[1].copy()))
+            seen.append((row[0], chi.copy(), work[0].copy()))
             return row
 
         monkeypatch.setattr(nbody, "_sample", spy)
         init = nbody.InitialCondition(random_positions=True, seed=SEED)
         nbody.run(p, init=init, t_end=1.0, sample_every=0.25, dt=0.01)
         assert len(seen) == 5
-        for theta, chi, sin_chi, cos_chi in seen:
+        for theta, chi, z in seen:
             assert np.all((chi >= 0) & (chi < TWO_PI))
-            np.testing.assert_array_equal(sin_chi, np.sin(chi))
-            np.testing.assert_array_equal(cos_chi, np.cos(chi))
-            assert theta == nbody._phases(chi)[2]
+            np.testing.assert_array_equal(z.real, np.cos(chi))
+            np.testing.assert_array_equal(z.imag, np.sin(chi))
+            assert theta == nbody._phases(chi)[1]
 
     def test_rotation_tracks_direct_trig(self, monkeypatch):
-        """Over 10^4 rotated drifts between samples, sin chi and cos chi
-        stay within 1e-12 of np.sin and np.cos of the drifted chi."""
+        """Over 10^4 rotated drifts between samples, z stays within 1e-12
+        of np.cos and np.sin of the drifted chi."""
         p = make_params()
         sample, errors = nbody._sample, []
 
         def spy(state):
             _, chi, u, work = state
             assert np.max(np.abs(u)) * 1e-3 < nbody.ROTATE_MAX  # no direct pass
-            errors.append(max(np.max(np.abs(work[0] - np.sin(chi))),
-                              np.max(np.abs(work[1] - np.cos(chi)))))
+            z = work[0]
+            errors.append(max(np.max(np.abs(z.real - np.cos(chi))),
+                              np.max(np.abs(z.imag - np.sin(chi)))))
             return sample(state)
 
         monkeypatch.setattr(nbody, "_sample", spy)
@@ -220,29 +221,64 @@ class TestRunAndClassify:
                   dt=1e-3)
         assert len(errors) == 3
         assert max(errors[1:]) < 1e-12
-        assert max(errors[1:]) > 0.0  # the pair was rotated, not recomputed
+        assert max(errors[1:]) > 0.0  # z was rotated, not recomputed
 
-    def test_large_steps_take_the_direct_pass(self, monkeypatch):
-        """Where u dt moves phases far past ROTATE_MAX, run matches a run
-        whose every drift is the direct trig pass."""
-        p = make_params(u_t=200.0)
+    @pytest.mark.parametrize("bound", [1 / 32, nbody.ROTATE_MAX], ids=["to-e6", "to-e8"])
+    def test_rotor_tiers_match_trig(self, bound):
+        """Each Taylor tier, on 2e5 angles up to its bound: cos within
+        0.5 ulp(1) of np.cos and sin within 1 ulp of np.sin."""
+        e = np.linspace(-bound, bound, 200_000)
+        w = np.empty(e.size, complex)
+        assert nbody._rotor(e, e * e, w, np.empty(e.size))
+        assert np.max(np.abs(w.real - np.cos(e))) <= 2.0**-53
+        assert np.all(np.abs(w.imag - np.sin(e)) <= np.spacing(np.abs(np.sin(e))))
+
+    def test_rotor_declines_beyond_rotate_max(self):
+        e = np.array([0.0, np.nextafter(nbody.ROTATE_MAX, 1.0)])
+        assert not nbody._rotor(e, e * e, np.empty(2, complex), np.empty(2))
+        e = np.array([0.0, np.nan])
+        assert not nbody._rotor(e, e * e, np.empty(2, complex), np.empty(2))
+
+    def _matches_direct_drift(self, monkeypatch, u_t, dt, low, high):
+        """A run whose every drift has max|u dt| in (low, high] matches a
+        run whose every drift is the direct trig pass."""
+        p = make_params(u_t=u_t)
+        drift, angles = nbody._drift, []
+
+        def spy(state, h):
+            angles.append(np.max(np.abs(state[2])) * h)
+            return drift(state, h)
 
         def direct_drift(state, h):
             a, chi, u, work = state
             chi += h * u
-            nbody._phases(chi, work)
+            nbody._phases(chi, work[0])
             return state
 
         def run():
             return nbody.run(p, init=nbody.InitialCondition(seed=SEED), t_end=1.0,
-                             sample_every=0.1, dt=1e-2)
+                             sample_every=0.1, dt=dt)
 
+        monkeypatch.setattr(nbody, "_drift", spy)
         series = run()
+        assert low < min(angles) and max(angles) <= high
         monkeypatch.setattr(nbody, "_drift", direct_drift)
         ref = run()
         np.testing.assert_allclose(series.theta, ref.theta, rtol=0, atol=1e-13)
         np.testing.assert_allclose(series.v_cm, ref.v_cm, rtol=1e-13)
         np.testing.assert_allclose(series.intensities, ref.intensities, rtol=1e-13)
+
+    @pytest.mark.parametrize("dt, low, high", [(1e-3, 0.0, 1 / 32),
+                                               (1e-2, 1 / 32, nbody.ROTATE_MAX)],
+                             ids=["to-e6", "to-e8"])
+    def test_rotated_drifts_match_direct_trig(self, monkeypatch, dt, low, high):
+        """Both Taylor tiers of the rotation match the direct trig pass."""
+        self._matches_direct_drift(monkeypatch, 3.0, dt, low, high)
+
+    def test_large_steps_take_the_direct_pass(self, monkeypatch):
+        """Where u dt moves phases far past ROTATE_MAX, run matches a run
+        whose every drift is the direct trig pass."""
+        self._matches_direct_drift(monkeypatch, 200.0, 1e-2, nbody.ROTATE_MAX, np.inf)
 
     def test_step_keeps_callers_order(self):
         """step on permuted particles returns the same permutation of its
