@@ -259,7 +259,7 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt: float,
-              snapshot_every: float | None = None):
+              snapshot_every: float | None = None, snapshot=None):
     """The run loop of both solvers: Strang steps outer(dt/2) inner(dt) outer(dt/2).
 
     ``outer(state, h)`` and ``inner(state, h)`` are the two exact parts of
@@ -268,43 +268,42 @@ def split_run(state, outer, inner, sample, t_end: float, sample_every: float, dt
     steps), a snapshot (every round(snapshot_every/dt) steps) or the last
     step.  ``sample(state)`` gives the row (theta, v_cm, kinetic_energy, a)
     and may check the state; an IntegrationDivergedError from it or a part
-    is re-raised with tau = i dt of its step.  Returns the TimeSeries and
-    the (tau, state) snapshots: from tau = 0, every snapshot step and the
-    last step (once, if that is a snapshot step too), or only the final
-    state if ``snapshot_every`` is None.  ``inner`` always receives the
-    state that ``outer`` just made, and split_run keeps no other reference
-    to it, so inner may hand that state's arrays back for reuse; other than
-    that, parts may update arrays in place only if no snapshots are kept.
-    With t_end = sample_every = dt it is one unfused step, which is how the
-    solvers' single steps run.
+    is re-raised with tau = i dt of its step.  ``snapshot(tau, state)``, if
+    given, is called as each snapshot is taken: at tau = 0, every snapshot
+    step and the last step (once, if that is a snapshot step too), or only
+    at the last step if ``snapshot_every`` is None.  Returns the TimeSeries
+    and the final state.  split_run keeps no reference to a state it has
+    stepped past, so the parts may write their output over the arrays of
+    their input or of any earlier state: a snapshot's state is valid only
+    during its call.  With t_end = sample_every = dt it is one unfused
+    step, which is how the solvers' single steps run.
     """
     if not (t_end > 0 and dt > 0):
         raise DomainError(f"t_end and dt must be positive, got {t_end} and {dt}")
     n_steps = step_count(t_end, dt)
     stride = max(int(round(sample_every / dt)), 1)
     snap_stride = None if snapshot_every is None else max(int(round(snapshot_every / dt)), 1)
-    snaps = [] if snap_stride is None else [(0.0, state)]
     half = pending = 0.5 * dt
     tau = 0.0
     try:
         rows = [(tau, *sample(state))]
+        if snap_stride is not None and snapshot is not None:
+            snapshot(tau, state)
         for i in range(1, n_steps + 1):
             tau = i * dt
             state, pending = inner(outer(state, pending), dt), dt
-            snap = snap_stride is not None and (i % snap_stride == 0 or i == n_steps)
-            if i % stride == 0 or snap or i == n_steps:
+            snap = i == n_steps or (snap_stride is not None and i % snap_stride == 0)
+            if i % stride == 0 or snap:
                 state, pending = outer(state, half), half
                 if i % stride == 0:
                     rows.append((tau, *sample(state)))
-                if snap:
-                    snaps.append((tau, state))
+                if snap and snapshot is not None:
+                    snapshot(tau, state)
     except IntegrationDivergedError as exc:
         raise IntegrationDivergedError(tau) from exc
-    if snap_stride is None:
-        snaps.append((n_steps * dt, state))
     tau, theta, v_cm, ekin, a = (np.array(column) for column in zip(*rows))
     intensities = np.abs(a) ** 2
-    return TimeSeries(tau, theta, v_cm, intensities, ekin, field_momentum(intensities)), snaps
+    return TimeSeries(tau, theta, v_cm, intensities, ekin, field_momentum(intensities)), state
 
 
 def sample_maxwellian(

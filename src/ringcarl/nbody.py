@@ -235,8 +235,8 @@ def step(a, chi, u, params: SystemParams, dt: float, hamiltonian: bool = False):
     """
     chi, u = np.array(chi, dtype=float), np.array(u, dtype=float)
     kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
-    _, [(_, (a, chi, u, _))] = split_run((a, chi, u, _work(chi.size)), kick, _drift, _sample,
-                                         dt, dt, dt)
+    _, (a, chi, u, _) = split_run((a, chi, u, _work(chi.size)), kick, _drift, _sample,
+                                  dt, dt, dt)
     return a, chi, u
 
 

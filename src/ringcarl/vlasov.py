@@ -33,10 +33,18 @@ release the GIL, so the slabs run in parallel on the workspace's threads,
 which the run's ``with`` block joins before it returns.  Each line is
 transformed exactly as on its own, and the sums (theta, moments, mass)
 run whole-array on the calling thread, so results are bitwise identical
-for any slab count.  The workspace also keeps the run's big arrays from
-step to step: the shifts' spectra and u phase table, and the f of the
-grid each kick consumes, which the next drift overwrites.  A shift called
-without a workspace runs inline on fresh arrays.
+for any slab count.  The workspace also holds the run's fixed working
+set, so a step allocates no grid-sized array: the drift writes one
+(nx, nv) buffer, also over its own input where two drifts meet at a sync
+point; the kick writes one zero-padded buffer; the two shifts share one
+complex spectrum buffer; and the kick's u phase table has its own.  A
+state's f is therefore valid only until the part that next writes its
+buffer.  :func:`run_vlasov` keeps no grid but the final one: it hands
+each snapshot to a callback as the snapshot is taken, which is when the
+command line writes the snapshot's file, so a run's memory does not grow
+with its snapshot count and a run that fails keeps the snapshots written
+before the failure.  A shift called without a workspace runs inline on
+fresh arrays.
 
 The solver uses no spline prefilter.  The module still resolves the name
 ``spline_filter1d`` through a module-level ``__getattr__``, which imports
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -202,17 +211,15 @@ class _Workspace:
     :func:`_cpu_slabs` threads share each shift, the calling thread working
     one slab itself, so the pool holds one thread fewer; they start on the
     first shift that splits and are joined when the block ends, normally
-    or by an exception, so no thread outlives the run.  ``arrays`` holds
-    the shifts' scratch arrays by name and ``spare`` a dead f for the next
-    drift to overwrite (see :func:`_kick`).
+    or by an exception, so no thread outlives the run.  ``buffers`` holds
+    the flat arrays of :meth:`array` by name.
     """
 
     def __init__(self):
         self.slabs = _cpu_slabs()
         self.pool = None if self.slabs < 2 else concurrent.futures.ThreadPoolExecutor(
             max_workers=self.slabs - 1, thread_name_prefix="ringcarl-slab")
-        self.arrays = {}
-        self.spare = None
+        self.buffers = {}
 
     def __enter__(self):
         return self
@@ -221,16 +228,20 @@ class _Workspace:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def array(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        out = self.arrays.get(key)
-        if out is None or out.shape != shape:
-            out = self.arrays[key] = np.empty(shape, dtype=complex)
-        return out
+    def array(self, key: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A C-contiguous view of ``shape`` on the flat buffer ``key``, which
+        grows to the largest size asked for: every view of a key shares
+        its memory, so each overwrites the last."""
+        size = math.prod(shape)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
-def _complex_scratch(space, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A complex array to overwrite: the workspace's, else a new one."""
-    return np.empty(shape, dtype=complex) if space is None else space.array(key, shape)
+def _scratch(space, key: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An array to overwrite: the workspace's, else a new one."""
+    return np.empty(shape, dtype) if space is None else space.array(key, shape, dtype)
 
 
 def _run_slabs(work, lines: int, cells: int, space) -> None:
@@ -281,13 +292,14 @@ def shift_periodic_chi(f: np.ndarray, shift_cells: np.ndarray,
     workspace ``space`` the columns are split into slabs
     (:func:`_run_slabs`), each column transformed exactly as on its own, so
     the result does not depend on the slab count.  ``out``, a C-contiguous
-    float array of f's shape other than f, receives the result (default: a
-    new array).
+    float array of f's shape, receives the result (default: a new array).
+    It may be f itself: each slab transforms its columns into the spectrum
+    before it writes them back.
     """
     nx, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nv,))
     table = _phase_table(nx, np.ascontiguousarray(shift).tobytes())
-    spectrum = _complex_scratch(space, "chi spectrum", table.shape)
+    spectrum = _scratch(space, "spectrum", table.shape, complex)
     out = np.empty((nx, nv)) if out is None else out
 
     def columns(a, b):
@@ -342,7 +354,8 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray, space=None) -> np.nd
     ``space`` the rows are then split into slabs (:func:`_run_slabs`),
     each building its rows of the table and transforming them exactly as
     on their own, so the result does not depend on the slab count.  The
-    result is the first nv columns of an nrows by n array.
+    result is the first nv columns of an nrows by n array: with a
+    workspace, its padded buffer, which the next call overwrites.
     """
     nrows, nv = f.shape
     shift = np.broadcast_to(np.asarray(shift_cells, dtype=float), (nrows,))
@@ -351,9 +364,9 @@ def shift_clamped_u(f: np.ndarray, shift_cells: np.ndarray, space=None) -> np.nd
     q = shift - np.floor(shift)
     weight = np.max(4.0 * q * (1.0 - q))
     damping = np.exp(-FILTER_STRENGTH * weight * (np.arange(nk) / (nk - 1)) ** FILTER_ORDER)
-    padded = np.empty((nrows, n))
-    spectrum = _complex_scratch(space, "u spectrum", (nrows, nk))
-    product = _complex_scratch(space, "u table", (nrows, -(-nk // 16), 16))
+    padded = _scratch(space, "padded", (nrows, n))
+    spectrum = _scratch(space, "spectrum", (nrows, nk), complex)
+    product = _scratch(space, "u table", (nrows, -(-nk // 16), 16), complex)
 
     def rows(a, b):
         w = (-2j * np.pi / n) * shift[a:b, None]
@@ -397,12 +410,10 @@ def _theta(grid: PhaseSpaceGrid) -> complex:
 
 
 def _drift(state, h):
-    """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid.
-
-    Its f overwrites the workspace's spare array, if it has one (see _kick).
-    """
+    """The chi drift over h, f(chi, u) -> f(chi - u h, u), into a new grid
+    whose f is the workspace's drift buffer (which may be the input's f)."""
     grid, a, space = state
-    out, space.spare = space.spare, None
+    out = space.array("drift", grid.f.shape)
     out = shift_periodic_chi(grid.f, grid.u * h / grid.dchi, out, space)
     return replace(grid, f=out), a, space
 
@@ -421,9 +432,6 @@ def _kick(state, h, params, hamiltonian=False):
         raise IntegrationDivergedError(float("nan"))
     out = replace(grid, f=shift_clamped_u(grid.f, kick / grid.du, space))
     lost = grid.mass() - out.mass()
-    # the kick's input is the drift's output, which split_run drops: the
-    # next drift overwrites its f instead of a fresh (nx, nv) array
-    space.spare = grid.f
     out.lost_mass += lost
     if out.lost_mass > OVERFLOW_FAIL:
         raise DomainError(
@@ -464,7 +472,7 @@ def vlasov_step(
     """
     kick = functools.partial(_kick, params=params, hamiltonian=hamiltonian)
     with _Workspace() as space:
-        _, [(_, (grid, a, _))] = split_run((grid, a, space), _drift, kick, _sample, dt, dt, dt)
+        _, (grid, a, _) = split_run((grid, a, space), _drift, kick, _sample, dt, dt, dt)
     return grid, a
 
 
@@ -480,24 +488,28 @@ def run_vlasov(
     nx: int = 256,
     nv: int = 512,
     snapshot_every: float | None = None,
+    snapshot=None,
 ):
-    """Integrate the kinetic system; returns (TimeSeries, snapshots).
+    """Integrate the kinetic system; returns (TimeSeries, final grid).
 
     ``fields`` holds the initial mode amplitudes (a+, a-, b+, b-); the
-    steady state by default.  Snapshots are (tau, PhaseSpaceGrid) pairs
-    taken every ``snapshot_every`` (None: only the final state); they hold
-    the run's grids themselves, since no part of a step mutates its input
-    grid (they share the chi and u node arrays).  The
-    kinetic_energy diagnostic is per particle, matching the N-body
-    TimeSeries convention.  A step that diverges raises
-    IntegrationDivergedError carrying the time that step was to reach.
+    steady state by default.  ``snapshot(tau, grid)``, if given, is called
+    as each snapshot is taken: from tau = 0, every ``snapshot_every`` and
+    at the last step (None: at the last step only).  Its grid is the run's
+    own, valid only during the call (the next step overwrites its f), so a
+    snapshot to keep must be copied; the run keeps none.  ``grid``, the
+    initial state, is not modified.  The kinetic_energy diagnostic is per
+    particle, matching the N-body TimeSeries convention.  A step that
+    diverges raises IntegrationDivergedError carrying the time that step
+    was to reach.
     """
-    if grid is None:
-        grid = make_grid(params, nx=nx, nv=nv, mean_u=mean_u, cosine_eps=cosine_eps)
-    else:
-        grid = grid.copy()
     a = steady_state_fields(params) if fields is None else fields
+    grid_snapshot = None if snapshot is None else lambda tau, state: snapshot(tau, state[0])
     with _Workspace() as space:
-        series, snaps = split_run((grid, a, space), _drift, functools.partial(
-            _kick, params=params), _sample, t_end, sample_every, dt, snapshot_every)
-    return series, [(tau, g) for tau, (g, _, _) in snaps]
+        # a grid made here goes into the run only, which drops it after the first step
+        series, (final, _, _) = split_run(
+            (make_grid(params, nx=nx, nv=nv, mean_u=mean_u, cosine_eps=cosine_eps)
+             if grid is None else grid, a, space),
+            _drift, functools.partial(_kick, params=params), _sample, t_end, sample_every, dt,
+            snapshot_every, grid_snapshot)
+    return series, final

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +173,20 @@ class TestRunExperiment:
         assert (tmp_path / "a/timeseries.csv").read_bytes() == (
             tmp_path / "b/timeseries.csv").read_bytes()
 
+    def test_streamed_writes_count_once(self, tmp_path):
+        """Snapshots are written from inside the run, in the write stage
+        only: the stages add up to no more than the run's wall time."""
+        text = MINIMAL.replace("mode = nbody", "mode = vlasov")
+        cfg = parse_config(text + "\n[vlasov]\nnx = 32\nnv = 64\nsnapshot_every = 0.05\n")
+        t0 = time.perf_counter()
+        manifest = cli.run_experiment(cfg, tmp_path)
+        wall = time.perf_counter() - t0
+        t = manifest.timings
+        assert sum(name.startswith("snapshot_tau") for name in manifest.files) == 21
+        assert 0 < t["integrate_s"] and 0 < t["write_s"]
+        assert t["integrate_s"] + t["write_s"] <= wall
+        assert t["us_per_step"] == pytest.approx(1e6 * t["integrate_s"] / 20)
+
     @pytest.mark.parametrize("mode, inner", [("nbody", "_drift"), ("vlasov", "_kick")])
     def test_timed_steps_are_the_steps_run(self, tmp_path, monkeypatch, mode, inner):
         """timings.steps is the number of steps the run loop took: its inner
@@ -268,12 +284,15 @@ class TestRunExperiment:
             "n_particles = 64", "n_particles = 10000").replace("s_total = 8.0", "s_over_sc = 2.0")
         cfg = parse_config(text + "\n[vlasov]\nnx = 32\nnv = 64\nsnapshot_every = 0.3\n")
         manifest = cli.run_experiment(cfg, tmp_path)
-        _, snaps = vlasov.run_vlasov(cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every,
-                                     dt=cfg.dt, **cfg.options["vlasov"])
+        snaps = []
+        _, final = vlasov.run_vlasov(
+            cfg.params, t_end=cfg.t_end, sample_every=cfg.sample_every, dt=cfg.dt,
+            snapshot=lambda tau, grid: snaps.append((tau, grid.copy())), **cfg.options["vlasov"])
         assert [tau for tau, _ in snaps] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
         assert "snapshot_tau1.txt" in manifest.files
         assert (tmp_path / "snapshot_tau1.txt").exists()
-        assert manifest.results["lost_mass"] == snaps[-1][1].lost_mass
+        assert manifest.results["lost_mass"] == snaps[-1][1].lost_mass == final.lost_mass
+        assert np.array_equal(snaps[-1][1].f, final.f)
 
     def test_snapshot_bytes(self, tmp_path):
         """Each value is written as its shortest round-trip text, as _fmt
@@ -629,6 +648,41 @@ class TestMain:
         m = json.loads((tmp_path / "r/manifest.json").read_text())
         assert m["error"].startswith("IntegrationDivergedError: ")
         assert m["finished"]
+
+    def test_failed_run_keeps_earlier_snapshots(self, tmp_path, monkeypatch):
+        """Snapshots are written as they are taken: a run that diverges
+        keeps those taken before, each with its checksum in the manifest,
+        and their writes count in write_s only (on a clock that only the
+        writes advance, by 1 s each)."""
+        flow = vlasov.mode_flow
+        calls = []
+        clock = [0.0]
+        write = cli.write_snapshot
+
+        def timed_write(path, grid):
+            write(path, grid)
+            clock[0] += 1.0
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(cli, "write_snapshot", timed_write)
+
+        def failing_flow(a, theta, params, h, hamiltonian=False):
+            calls.append(h)
+            a, j = flow(a, theta, params, h, hamiltonian)
+            return (a, j * np.nan) if len(calls) == 12 else (a, j)
+
+        monkeypatch.setattr(vlasov, "mode_flow", failing_flow)
+        cfg = tmp_path / "late-nan.ini"
+        cfg.write_text(MINIMAL.replace("mode = nbody", "mode = vlasov")
+                       + "\n[vlasov]\nnx = 16\nnv = 32\nsnapshot_every = 0.25\n")
+        out = tmp_path / "r"
+        assert cli.main(["vlasov", "--config", str(cfg), "--out", str(out)]) == 2
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["error"] == "IntegrationDivergedError: integration diverged at tau = 0.6"
+        kept = ["snapshot_tau0.txt", "snapshot_tau0.25.txt", "snapshot_tau0.5.txt"]
+        assert sorted(path.name for path in out.glob("snapshot_tau*")) == sorted(kept)
+        assert m["files"] == {name: sha256_file(out / name) for name in kept}
+        assert m["timings"]["write_s"] == 3.0 and m["timings"]["integrate_s"] == 0.0
 
     def test_slow_beam_asymmetric_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "asym.ini"

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -157,11 +158,12 @@ class TestModeFlow:
 
 
 class TestSplitRun:
-    """The run loop both solvers share, on a toy state that logs the parts."""
+    """The run loop both solvers share, on a toy state that logs the parts
+    and collects the snapshots its callback is handed."""
 
     @staticmethod
     def logged_run(**kw):
-        log = []
+        log, snaps = [], []
 
         def part(name):
             def advance(state, h):
@@ -169,13 +171,14 @@ class TestSplitRun:
                 return state + 1
             return advance
 
-        series, snaps = split_run(0, part("outer"), part("inner"),
-                                  lambda state: (0j, 0.0, 0.0, np.zeros(4)), **kw)
-        return log, series, snaps
+        series, final = split_run(0, part("outer"), part("inner"),
+                                  lambda state: (0j, 0.0, 0.0, np.zeros(4)),
+                                  snapshot=lambda tau, state: snaps.append((tau, state)), **kw)
+        return log, series, snaps, final
 
     def test_fuses_outer_halves_between_sync_points(self):
-        log, series, snaps = self.logged_run(t_end=1.0, sample_every=0.5, dt=0.125,
-                                             snapshot_every=0.375)
+        log, series, snaps, final = self.logged_run(t_end=1.0, sample_every=0.5, dt=0.125,
+                                                    snapshot_every=0.375)
         assert [h for name, h in log if name == "inner"] == [0.125] * 8
         outer = [h for name, h in log if name == "outer"]
         # snapshots after steps 3 and 6, samples after steps 4 and 8: each
@@ -186,18 +189,43 @@ class TestSplitRun:
         assert series.tau.tolist() == [0.0, 0.5, 1.0]
         # the last step's state closes the list, though 8 is no multiple of 3
         assert snaps == [(0.0, 0), (0.375, 7), (0.75, 15), (1.0, 20)]
+        assert final == 20
 
     def test_last_snapshot_step_is_not_repeated(self):
-        _, _, snaps = self.logged_run(t_end=0.75, sample_every=0.25, dt=0.125,
-                                      snapshot_every=0.375)
+        _, _, snaps, _ = self.logged_run(t_end=0.75, sample_every=0.25, dt=0.125,
+                                         snapshot_every=0.375)
         assert [tau for tau, _ in snaps] == [0.0, 0.375, 0.75]
 
     def test_final_state_without_snapshots(self):
-        log, series, snaps = self.logged_run(t_end=0.5, sample_every=0.3, dt=0.1)
+        log, series, snaps, final = self.logged_run(t_end=0.5, sample_every=0.3, dt=0.1)
         assert series.tau.tolist() == pytest.approx([0.0, 0.3])
         # the last step closes its half even though it takes no sample
         assert [h for name, h in log if name == "outer"][-1] == pytest.approx(0.05)
         assert snaps == [(pytest.approx(0.5), 12)]
+        assert final == 12
+
+    def test_drops_every_state_it_steps_past(self):
+        """split_run holds its current state only: at each snapshot and at
+        the end, every earlier state, handed-out snapshots included, is gone."""
+        class State:
+            pass
+
+        made = []
+
+        def advance(state, h):
+            made.append(weakref.ref(new := State()))
+            return new
+
+        def live():
+            return [ref() for ref in made if ref() is not None]
+
+        seen = []
+        _, final = split_run(advance(None, 0.0), advance, advance,
+                             lambda state: (0j, 0.0, 0.0, np.zeros(4)),
+                             t_end=1.0, sample_every=0.25, dt=0.125, snapshot_every=0.25,
+                             snapshot=lambda tau, state: seen.append(live() == [state]))
+        assert seen == [True] * 5
+        assert live() == [final]
 
     def test_divergence_carries_step_time(self):
         def inner(state, h):

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +27,15 @@ def make_params(s=8.0, a=2.0, **kw):
     base = dict(delta=-1.0, n_particles=1000, u0=-1e-3, rho_r=0.01, u_t=3.0)
     base.update(kw)
     return SystemParams(s_total=s, a_asym=a, **base)
+
+
+def run_kept(params, **kw):
+    """run_vlasov, keeping copies of the snapshots it hands out (their
+    grids are valid only during the call): (series, [(tau, grid)], final)."""
+    snaps = []
+    series, final = vl.run_vlasov(
+        params, snapshot=lambda tau, grid: snaps.append((tau, grid.copy())), **kw)
+    return series, snaps, final
 
 
 class TestGrid:
@@ -317,25 +327,50 @@ class TestStep:
 class TestRun:
     def test_series_and_snapshots(self):
         p = make_params(s=8.0, a=2.0)
-        series, snaps = vl.run_vlasov(
+        series, snaps, final = run_kept(
             p, t_end=0.5, dt=2.5e-2, sample_every=0.1, nx=32, nv=64,
             snapshot_every=0.25,
         )
         assert len(series) == 6
         assert [t for t, _ in snaps] == [0.0, 0.25, 0.5]
         assert snaps[-1][1].mass() == pytest.approx(1.0, abs=1e-8)
+        assert np.array_equal(final.f, snaps[-1][1].f)
 
     def test_initial_snapshot_survives_run(self):
-        """Snapshots hold the step's grids uncopied; the tau = 0 one stays put."""
+        """The tau = 0 snapshot is the initial grid, and the run writes its
+        steps into arrays of its own: the caller's grid stays put."""
         p = make_params(s=8.0, a=2.0)
         g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.1)
         f0 = g.f.copy()
-        _, snaps = vl.run_vlasov(p, grid=g, t_end=0.5, dt=2.5e-2, snapshot_every=0.25)
+        _, snaps, final = run_kept(p, grid=g, t_end=0.5, dt=2.5e-2, snapshot_every=0.25)
         tau0, first = snaps[0]
-        assert tau0 == 0.0 and first is not g
+        assert tau0 == 0.0
         assert np.array_equal(first.f, f0) and first.lost_mass == 0.0
-        assert np.array_equal(g.f, f0)
+        assert np.array_equal(g.f, f0) and g.lost_mass == 0.0
         assert not np.array_equal(snaps[1][1].f, f0)
+        assert not np.shares_memory(final.f, g.f)
+
+    def test_memory_does_not_grow_with_snapshots(self):
+        """The run keeps no snapshot: with 40 of them it peaks within one
+        grid of the same run with 2 (tracemalloc sees numpy's arrays)."""
+        p = make_params(s=8.0, a=2.0)
+        grid = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.1)
+
+        def peak(snapshot_every):
+            taus = []
+            tracemalloc.start()
+            try:
+                vl.run_vlasov(p, grid=grid, t_end=0.975, dt=0.025, snapshot_every=snapshot_every,
+                              snapshot=lambda tau, g: taus.append(tau))
+                return tracemalloc.get_traced_memory()[1], len(taus)
+            finally:
+                tracemalloc.stop()
+
+        for every in (0.025, 0.975):  # fill the drift phase-table cache first
+            peak(every)
+        (many, n_many), (few, n_few) = peak(0.025), peak(0.975)
+        assert (n_many, n_few) == (40, 2)
+        assert many <= few + grid.f.nbytes
 
     def test_momentum_invariant_closed_system(self):
         p = make_params(s=8.0, a=2.0)
@@ -363,14 +398,14 @@ class TestRun:
 
         def run():
             g = vl.make_grid(p, nx=32, nv=64, cosine_eps=0.2)
-            return vl.run_vlasov(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
-                                 sample_every=0.1, snapshot_every=0.5)
+            return run_kept(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
+                            sample_every=0.1, snapshot_every=0.5)
 
-        series, snaps = run()
+        series, snaps, _ = run()
         with monkeypatch.context() as m:
             m.setattr(vl, "shift_clamped_u",
                       lambda f, shifts, space: _ref_shift_clamped_u(f, shifts))
-            ref_series, ref_snaps = run()
+            ref_series, ref_snaps, _ = run()
         for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy", "field_momentum"):
             np.testing.assert_allclose(getattr(series, name), getattr(ref_series, name),
                                        rtol=0, atol=1e-12, err_msg=name)
@@ -391,11 +426,12 @@ class TestRun:
         p = replace(base, s_total=s, a_asym=0.3 * s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            series, snaps = vl.run_vlasov(p, t_end=20.0, dt=1e-2, cosine_eps=0.05,
-                                          nx=64, nv=128, snapshot_every=1.0)
+            min_f = []
+            series, _ = vl.run_vlasov(
+                p, t_end=20.0, dt=1e-2, cosine_eps=0.05, nx=64, nv=128, snapshot_every=1.0,
+                snapshot=lambda tau, g: min_f.append(np.min(g.f) / np.max(g.f)))
         assert abs(series.theta[-1]) > 0.1  # the wave formed
-        for _, g in snaps:
-            assert np.min(g.f) >= -1e-3 * np.max(g.f)
+        assert len(min_f) == 21 and min(min_f) >= -1e-3
 
     @pytest.mark.parametrize("nx, physics", [
         (33, dict(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)),
@@ -412,8 +448,8 @@ class TestRun:
         p = make_params(**physics)
         fl = np.array([1.0, 0.5j, 0.2, 0.8 + 0.1j])
         g = vl.make_grid(p, nx=nx, nv=64, cosine_eps=0.2)
-        series, snaps = vl.run_vlasov(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
-                                      sample_every=0.25, snapshot_every=0.5)
+        series, snaps, _ = run_kept(p, grid=g, fields=fl, t_end=2.0, dt=0.05,
+                                    sample_every=0.25, snapshot_every=0.5)
         assert [tau for tau, _ in snaps] == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
         for k in range(1, 9):
             for _ in range(5):
@@ -483,6 +519,28 @@ class TestSlabs:
                 assert got.tobytes() == want.tobytes()
                 assert got.strides == want.strides
 
+    @pytest.mark.parametrize("shape", [(33, 65), (64, 129)])
+    def test_drift_over_its_input_is_bitwise(self, shape, monkeypatch):
+        """Where two drifts meet, a run's drift writes over its own input:
+        inline and in slabs, that equals the drift into a new array."""
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal(shape)
+        shifts = rng.uniform(-3 * shape[0], 3 * shape[0], shape[1])
+        want = vl.shift_periodic_chi(f, shifts)
+        got = f.copy()
+        assert vl.shift_periodic_chi(got, shifts, out=got) is got
+        assert got.tobytes() == want.tobytes()
+        names = self.slab_threads(monkeypatch)
+        for slabs in (2, 3):
+            monkeypatch.setattr(vl, "_cpu_slabs", lambda slabs=slabs: slabs)
+            names.clear()
+            got = f.copy()
+            with vl._Workspace() as space:
+                vl.shift_periodic_chi(got, shifts, out=got, space=space)
+            self.check_threads(names, slabs)
+            assert len(names) == slabs
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("nx, nv", [(33, 65), (64, 129)])
     def test_run_bitwise_for_any_slab_count(self, nx, nv, monkeypatch):
         p = make_params(s=50.0, a=10.0, u0=-0.5, rho_r=0.5)
@@ -493,13 +551,13 @@ class TestSlabs:
             monkeypatch.setattr(vl, "_cpu_slabs", lambda slabs=slabs: slabs)
             names.clear()
             g = vl.make_grid(p, nx=nx, nv=nv, cosine_eps=0.2)
-            runs[slabs] = vl.run_vlasov(p, grid=g, fields=fl, t_end=1.0, dt=0.05,
-                                        sample_every=0.1, snapshot_every=0.5)
+            runs[slabs] = run_kept(p, grid=g, fields=fl, t_end=1.0, dt=0.05,
+                                   sample_every=0.1, snapshot_every=0.5)
             self.check_threads(names, slabs)
-        series, snaps = runs[1]
+        series, snaps, _ = runs[1]
         assert snaps[-1][1].lost_mass != 0.0  # the kick crops mass
         for slabs in (2, 3):
-            other, other_snaps = runs[slabs]
+            other, other_snaps, _ = runs[slabs]
             for name in ("tau", "theta", "v_cm", "intensities", "kinetic_energy"):
                 assert getattr(other, name).tobytes() == getattr(series, name).tobytes(), name
             assert len(other_snaps) == len(snaps) == 3
