@@ -4,8 +4,8 @@ Subcommands mirror the run modes (nbody, vlasov, stability-boundary,
 phase-diagram); classify, slow-beam and validate-wave are old names of
 nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
 CSV artifacts plus a ``manifest.json`` into the output directory; CSV is
-the data contract.  ``--seed`` overrides ``run.seed`` of the parsed
-config, so the config must parse as written.
+the data contract.  ``--seed`` replaces ``run.seed`` before the config is
+checked, so it meets the key's rule.
 
 Exit codes: 0 success (also --help and --version), 1 validation or usage
 error, 2 numerical failure, 3 I/O.
@@ -184,8 +184,8 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 
 def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
     o = cfg.options["boundary"]
-    u_ts = [cfg.params.u_t] + [u for u in (o["u_t_list"] or []) if u != cfg.params.u_t]
-    for u_t in u_ts:
+    # each temperature once; parse_config has checked that their names differ
+    for u_t in dict.fromkeys([cfg.params.u_t, *(o["u_t_list"] or ())]):
         p = replace(cfg.params, u_t=u_t)
         grid = stability.default_omega_grid(p, n=2 * o["n_omega"])
         curve = stability.boundary_curve(p, grid)
@@ -217,8 +217,8 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
     All cells are classified in this process by one batch, whose root
     search adds its counts to ``stats``; ``parse_config`` has checked the
     grid, so each cell is a valid pump point.  A dynamic sweep then runs the
-    N-body simulation of each classified cell, on ``threads`` worker
-    processes when that is above 1.  A cell that raises gets an error row.
+    N-body simulation of each classified cell, on up to ``threads`` worker
+    processes, never more than runs.  A cell that raises gets an error row.
     """
     outcome = stability.classify_regimes(
         [stability.PumpPoint(s, a) for s, a in cells], cfg.params, stats)
@@ -228,8 +228,9 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
         init = nbody.InitialCondition(seed=cfg.seed, **cfg.options["nbody"])
         runs = [(replace(cfg.params, s_total=cells[i][0], a_asym=cells[i][1]), init,
                  cfg.t_end, cfg.dt, cfg.sample_every) for i in todo]
-        if threads > 1 and runs:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, len(runs))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 labels = dict(zip(todo, pool.map(_dynamic_label, runs)))
         else:
             labels = dict(zip(todo, map(_dynamic_label, runs)))
@@ -359,6 +360,13 @@ def load_preset(name: str) -> str:
     return path.read_text()
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ringcarl",
@@ -377,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: $RINGCARL_OUT/<mode> or ./runs/<mode>)")
         sp.add_argument("--seed", type=int, help="override run.seed")
         if mode == "phase-diagram":
-            sp.add_argument("--threads", type=int, default=1,
+            sp.add_argument("--threads", type=_workers, default=1,
                             help="worker processes for the N-body runs of a dynamic sweep")
     lp = sub.add_parser("presets", help="list bundled presets")
     lp.set_defaults(list_presets=True)
@@ -399,10 +407,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        cfg = parse_config(load_preset(args.preset) if text is None else text)
-        if args.seed is not None:
-            run = {**cfg.snapshot["run"], "seed": str(args.seed)}
-            cfg = replace(cfg, seed=args.seed, snapshot={**cfg.snapshot, "run": run})
+        cfg = parse_config(load_preset(args.preset) if text is None else text, args.seed)
         if cfg.mode != ALIASES.get(args.command, args.command):
             raise ConfigError([f"config mode {cfg.mode!r} does not match "
                                f"subcommand {args.command!r}"])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ringcarl import cli, nbody, stability, vlasov
+from ringcarl import cli, config, nbody, stability, vlasov
 from ringcarl.config import ALIASES, ConfigError, RunManifest, parse_config, sha256_file
 from ringcarl.core import TimeSeries
 
@@ -39,6 +40,17 @@ QUIET = MINIMAL.replace("n_particles = 64", "n_particles = 2048")
 RUNAWAY = QUIET.replace("t_end = 1.0", "t_end = 10.0").replace("dt = 0.05", "dt = 0.01").replace(
     "s_total = 8.0", "s_over_sc = 8.0").replace("a_over_s = 0.25", "a_over_s = 0.95") + (
     "\n[nbody]\ncosine_eps = 0.05\n")
+BOUNDARY = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
+
+
+def with_key(text, name, value):
+    """``text`` with ``section.key = value`` in place of the key's own line;
+    the section is appended if the text has none."""
+    section, key = name.split(".")
+    if f"[{section}]" not in text:
+        return text + f"\n[{section}]\n{key} = {value}\n"
+    text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
 
 
 class TestParseConfig:
@@ -104,6 +116,48 @@ class TestParseConfig:
             [0.5, 1.0, 1.5, 2.0]
         )
         assert cfg.options["sweep"]["a_over_s"] == [0.0, 0.3]
+
+    def test_seed_is_checked_and_recorded_once(self):
+        """A seed passed in replaces run.seed before the checks: the config
+        is the one whose text gives it, and it meets the same rule."""
+        given = parse_config(MINIMAL.replace("mode = nbody", "mode = nbody\nseed = 42"))
+        assert parse_config(MINIMAL, seed=42) == given
+        assert given.seed == 42 and given.snapshot["run"]["seed"] == "42"
+        for text, seed in ((MINIMAL, -1), (with_key(MINIMAL, "run.seed", -1), None)):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text, seed=seed)
+            assert err.value.violations == ["run.seed must be >= 0, got -1"]
+
+    def test_boundary_file_names_must_differ(self):
+        """Two temperatures with one boundary_ut<u_t:g>.csv name would
+        overwrite each other's curve; a repeated temperature is fine."""
+        for extra in ("3.0000001", "1, 1.0000001"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(BOUNDARY + f"\n[boundary]\nu_t_list = {extra}\n")
+            assert any(v.startswith("boundary.u_t_list") for v in err.value.violations)
+        parse_config(BOUNDARY + "\n[boundary]\nu_t_list = 1, 1, 3.0\n")
+
+    def test_docs_list_every_key_with_its_default_and_range(self):
+        """docs/config.md has a row for every _SCHEMA key in its section's
+        table, with the same default; the type column states the range."""
+        rows, section = {}, None
+        doc = Path(__file__).resolve().parents[1] / "docs/config.md"
+        for line in doc.read_text().splitlines():
+            if line.startswith("## "):
+                section = re.match(r"## `\[(\w+)\]`", line)
+            elif section and line.startswith("| `"):
+                key, kind, default = (c.strip() for c in line.split("|")[1:4])
+                rows[f"{section.group(1)}.{key.strip('`')}"] = kind, default
+        for name, (tag, default, rule) in config._SCHEMA.items():
+            assert name in rows, name
+            kind, cell = rows[name]
+            assert rule is None or rule in kind, name
+            if default is config.REQUIRED or default is None:
+                assert cell.startswith("*required*" if default else "unset"), name
+            elif tag in ("bool", "str"):
+                assert cell == {True: "`true`", False: "`false`", "": "empty"}[default], name
+            else:
+                assert float(re.match(r"`([^`]+)`", cell).group(1)) == default, name
 
     def test_s_over_sc_resolution(self):
         text = MINIMAL.replace("s_total = 8.0", "s_over_sc = 2.0")
@@ -258,6 +312,17 @@ class TestRunExperiment:
         r = cli.run_experiment(parse_config(MINIMAL), tmp_path).results
         assert r["analytic_regime"] == "error:RuntimeError"
         assert "analytic_growth_re" not in r and "classification" in r
+
+    def test_boundary_computes_each_temperature_once(self, tmp_path, monkeypatch):
+        calls = []
+        curve = stability.boundary_curve
+        monkeypatch.setattr(stability, "boundary_curve",
+                            lambda p, grid: calls.append(p.u_t) or curve(p, grid))
+        text = BOUNDARY + "\n[boundary]\nn_omega = 20\nu_t_list = 1, 1, 3.0\n"
+        m = cli.run_experiment(parse_config(text), tmp_path)
+        assert calls == [3.0, 1.0]
+        assert sorted(m.files) == ["boundary_ut1.csv", "boundary_ut3.csv"]
+        assert list(m.results["thresholds_a0"]) == ["u_t=3", "u_t=1"]
 
     def test_boundary_mode(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
@@ -557,6 +622,85 @@ class TestMain:
             err = capsys.readouterr().err
             assert "error: invalid config" in err and "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("mode, name, value", [
+        ("nbody", "run.t_end", "inf"),
+        ("nbody", "run.sample_every", "inf"),
+        ("vlasov", "vlasov.snapshot_every", "inf"),
+        ("nbody", "physics.n_particles", "0"),
+        ("nbody", "run.seed", "-1"),
+        ("nbody", "run.seed", "--seed -1"),
+    ])
+    def test_former_crashes_are_config_errors(self, tmp_path, capsys, mode, name, value):
+        """Values that used to raise in a run (OverflowError, ZeroDivisionError,
+        numpy's ValueError) exit 1 before any file is written."""
+        text = MINIMAL.replace("mode = nbody", f"mode = {mode}") + "\n[vlasov]\nnx = 8\nnv = 16\n"
+        args = [mode, "--config", str(tmp_path / "bad.ini"), "--out", str(tmp_path / "r")]
+        if value.startswith("--"):
+            args += value.split()
+        else:
+            text = with_key(text, name, value)
+        (tmp_path / "bad.ini").write_text(text)
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert "error: invalid config" in err and name in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_nan_in_any_float_key_is_a_config_error(self, tmp_path, capsys):
+        """One parser rule: a nan or inf in any float key, or in any element
+        of a list or grid, is a config error that names the key."""
+        lists = {"floatlist": ["1.0, nan"], "grid": ["1.0, nan", "0:inf:3"]}
+        floats = {name: lists.get(tag, []) for name, (tag, _, _) in config._SCHEMA.items()
+                  if tag in ("float", "floatlist", "grid")}
+        assert len(floats) == 19
+        bad = tmp_path / "bad.ini"
+        for name, more in floats.items():
+            for value in ["nan", "inf", "-inf", *more]:
+                bad.write_text(with_key(MINIMAL, name, value))
+                assert cli.main(["nbody", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
+                err = capsys.readouterr().err
+                assert "error: invalid config" in err and f"{name}: cannot parse" in err
+                assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kw: started.append(kw))
+        for n in ("0", "-3"):
+            out = tmp_path / n
+            assert cli.main(["phase-diagram", "--preset", "phase-diagram",
+                             "--threads", n, "--out", str(out)]) == 1
+            assert not out.exists()
+        assert started == []
+
+    def test_sweep_pool_is_capped_at_its_runs(self, tmp_path, monkeypatch):
+        """A stand-in pool records its size and runs the cells in this
+        process: no worker is started."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = tmp_path / "dynamic.ini"
+        cfg.write_text(MINIMAL.replace("mode = nbody", "mode = phase-diagram")
+                       + "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0\ndynamic = true\n")
+        for threads, out in (("100000", "many"), ("1", "one")):
+            assert cli.main(["phase-diagram", "--config", str(cfg), "--threads", threads,
+                             "--out", str(tmp_path / out)]) == 0
+        assert sizes == [2]
+        assert (tmp_path / "many/phase_diagram.csv").read_bytes() == (
+            tmp_path / "one/phase_diagram.csv").read_bytes()
 
     def test_mode_mismatch(self, tmp_path):
         good = tmp_path / "ok.ini"
