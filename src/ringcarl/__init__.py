@@ -16,31 +16,6 @@ Mode amplitudes are a complex array (a+, a-, b+, b-); particles and grids are
 plain numpy arrays.
 """
 
-from .core import (
-    IntegrationDivergedError,
-    SystemParams,
-    TimeSeries,
-    coupling,
-    field_momentum,
-    force,
-    mode_flow,
-    momentum_invariant,
-    sample_maxwellian,
-    steady_state_fields,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "SystemParams",
-    "TimeSeries",
-    "IntegrationDivergedError",
-    "mode_flow",
-    "coupling",
-    "force",
-    "field_momentum",
-    "momentum_invariant",
-    "sample_maxwellian",
-    "steady_state_fields",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -5,7 +5,8 @@ phase-diagram); classify, slow-beam and validate-wave are old names of
 nbody, accepted as subcommands and in ``run.mode``.  Each run writes its
 CSV artifacts plus a ``manifest.json`` into the output directory; CSV is
 the data contract.  ``--seed`` replaces ``run.seed`` before the config is
-checked, so it meets the key's rule.
+checked, so it meets the key's rule.  A run only reads the numbers that
+``parse_config`` derived: S_c(A = 0), the pump points, the derived block.
 
 Exit codes: 0 success (also --help and --version), 1 validation or usage
 error, 2 numerical failure, 3 I/O.
@@ -140,7 +141,7 @@ def _series_results(cfg: RunConfig, series: TimeSeries, manifest: RunManifest) -
     r["trailing_abs_theta"] = float(np.mean(np.abs(series.theta[w])))
     r["trailing_v_cm"] = float(np.mean(series.v_cm[w]))
     p = cfg.params
-    (analytic,) = stability.classify_regimes([stability.PumpPoint(p.s_total, p.a_asym)], p)
+    (analytic,) = stability.classify_regimes(cfg.points, p)
     if isinstance(analytic, Exception):
         r["analytic_regime"] = f"error:{type(analytic).__name__}"
     else:
@@ -183,17 +184,14 @@ def _mode_vlasov(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
 
 
 def _mode_boundary(cfg: RunConfig, outdir: Path, manifest: RunManifest) -> None:
-    o = cfg.options["boundary"]
     # each temperature once; parse_config has checked that their names differ
-    for u_t in dict.fromkeys([cfg.params.u_t, *(o["u_t_list"] or ())]):
+    for u_t, sc in cfg.thresholds.items():
         p = replace(cfg.params, u_t=u_t)
-        grid = stability.default_omega_grid(p, n=2 * o["n_omega"])
+        grid = stability.default_omega_grid(p, n=2 * cfg.options["boundary"]["n_omega"])
         curve = stability.boundary_curve(p, grid)
         rows = (map(_fmt, row) for row in zip(curve.omega, curve.s_total, curve.a_asym))
         _save(manifest, outdir / f"boundary_ut{u_t:g}.csv", _write_csv, BOUNDARY_HEADER, rows)
-        manifest.results.setdefault("thresholds_a0", {})[f"u_t={u_t:g}"] = (
-            stability.threshold_sc_a0(p)
-        )
+        manifest.results.setdefault("thresholds_a0", {})[f"u_t={u_t:g}"] = sc
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +210,19 @@ def _dynamic_label(args) -> str:
 
 
 def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
-    """Phase-diagram CSV rows (lists of str) of the cells (S, A), in order.
+    """Phase-diagram CSV rows (lists of str) of the cells (pump points), in order.
 
     All cells are classified in this process by one batch, whose root
-    search adds its counts to ``stats``; ``parse_config`` has checked the
-    grid, so each cell is a valid pump point.  A dynamic sweep then runs the
+    search adds its counts to ``stats``.  A dynamic sweep then runs the
     N-body simulation of each classified cell, on up to ``threads`` worker
     processes, never more than runs.  A cell that raises gets an error row.
     """
-    outcome = stability.classify_regimes(
-        [stability.PumpPoint(s, a) for s, a in cells], cfg.params, stats)
+    outcome = stability.classify_regimes(cells, cfg.params, stats)
     labels = {}
     if cfg.options["sweep"]["dynamic"]:
         todo = [i for i, res in enumerate(outcome) if not isinstance(res, Exception)]
         init = nbody.InitialCondition(seed=cfg.seed, **cfg.options["nbody"])
-        runs = [(replace(cfg.params, s_total=cells[i][0], a_asym=cells[i][1]), init,
+        runs = [(replace(cfg.params, s_total=cells[i].s_total, a_asym=cells[i].a_asym), init,
                  cfg.t_end, cfg.dt, cfg.sample_every) for i in todo]
         workers = min(threads, len(runs))
         if workers > 1:
@@ -235,7 +231,8 @@ def _sweep_rows(cells, cfg: RunConfig, threads: int, stats) -> list[list[str]]:
         else:
             labels = dict(zip(todo, map(_dynamic_label, runs)))
     rows = []
-    for i, ((s, a), res) in enumerate(zip(cells, outcome)):
+    for i, (cell, res) in enumerate(zip(cells, outcome)):
+        s, a = cell.s_total, cell.a_asym
         label = f"error:{type(res).__name__}" if isinstance(res, Exception) else labels.get(i)
         if label is not None and label.startswith("error:"):
             rows.append([_fmt(s), _fmt(a), label, _fmt(0.0), _fmt(0.0)])
@@ -284,17 +281,10 @@ def _existing_rows(path: Path, manifest_path: Path, snapshot: dict) -> dict:
 def _mode_phase_diagram(
     cfg: RunConfig, outdir: Path, manifest: RunManifest, threads: int = 1
 ) -> None:
-    sw = cfg.options["sweep"]
-    sc = stability.threshold_sc_a0(cfg.params)
-    cells = [
-        (r * sc, aos * r * sc)
-        for r in sw["s_over_sc"]
-        for aos in sw["a_over_s"]
-    ]
     path = outdir / "phase_diagram.csv"
     done = _existing_rows(path, outdir / "manifest.json", cfg.snapshot)
-    keys = [(_fmt(s), _fmt(a)) for s, a in cells]
-    todo = [cell for cell, key in zip(cells, keys) if key not in done]
+    keys = [(_fmt(c.s_total), _fmt(c.a_asym)) for c in cfg.points]
+    todo = [cell for cell, key in zip(cfg.points, keys) if key not in done]
     stats = stability.SearchStats()
     with _stage(manifest, "sweep"):
         rows = _sweep_rows(todo, cfg, threads, stats)
@@ -302,9 +292,9 @@ def _mode_phase_diagram(
     # the whole grid in order: rows of cells off the current grid go
     _save(manifest, path, _write_csv, PHASE_HEADER,
           (done[key] if key in done else next(computed) for key in keys))
-    manifest.results["n_cells"] = len(cells)
+    manifest.results["n_cells"] = len(cfg.points)
     manifest.results["n_computed"] = len(rows)
-    manifest.results["n_resumed"] = len(cells) - len(todo)
+    manifest.results["n_resumed"] = len(cfg.points) - len(todo)
     manifest.results["n_errors"] = sum(row[2].startswith("error:") for row in rows)
     manifest.results["n_refined"] = stats.refined
     manifest.results["n_roots_polished"] = stats.polished
@@ -329,7 +319,7 @@ def run_experiment(cfg: RunConfig, outdir, threads: int = 1) -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         config=cfg.snapshot, version=__version__, mode=cfg.mode,
-        started=RunManifest.now(), derived=cfg.derived(),
+        started=RunManifest.now(), derived=cfg.derived,
     )
     manifest.timings["setup_s"] = time.perf_counter() - t0
     try:

@@ -7,6 +7,10 @@ requiredness and range; every float must be finite), checked in one pass,
 then the rules that tie keys together.  Unknown sections or keys, missing
 required keys, unparsable and out-of-range values are all collected and
 reported together in a single :class:`ConfigError`.
+
+``parse_config`` alone decides whether S_c(A = 0) exists and computes it,
+then the numbers built on it (the derived block, boundary thresholds and
+sweep cells that :class:`RunConfig` carries), each checked where it is made.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import DomainError, SystemParams
+from .stability import PumpPoint, carl_bound, s_bgk, threshold_sc_a0
 
 __all__ = [
     "ConfigError",
@@ -134,9 +139,22 @@ def _meets(v, rule: str) -> bool:
     return v > float(bound) if op == ">" else v >= float(bound)
 
 
+def _derived(errors: list, key: str, what: str, make, positive: bool = False):
+    """make(), or None and a config error naming key where it is not finite (or > 0)."""
+    try:
+        with np.errstate(all="ignore"):  # numpy's overflow is an inf, checked below
+            v = make()
+    except (OverflowError, ZeroDivisionError):  # Python's float overflow or x / 0
+        v = math.inf
+    if math.isfinite(v) and (v > 0 or not positive):
+        return v
+    errors.append(f"{key}: {what} must be finite{' and > 0' if positive else ''}, got {v}")
+    return None
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration of one experiment."""
+    """Validated configuration of one experiment, and the numbers derived from it."""
 
     mode: str
     params: SystemParams
@@ -147,22 +165,9 @@ class RunConfig:
     out: str
     options: dict = field(default_factory=dict)  # per-section extras
     snapshot: dict = field(default_factory=dict)  # normalized key-value copy
-
-    def derived(self) -> dict:
-        """Threshold quantities implied by the parameters; S_c(A = 0) and
-        S_BGK only where they are finite and nonzero (u_t > 0, delta != 0)."""
-        from . import stability
-
-        p = self.params
-        out = {
-            "s_total": p.s_total,
-            "a_asym": p.a_asym,
-            "carl_bound": stability.carl_bound(p),
-        }
-        if p.u_t > 0 and p.delta != 0:
-            out["sc_a0"] = stability.threshold_sc_a0(p)
-            out["s_bgk"] = stability.s_bgk(p, p.a_asym)
-        return out
+    derived: dict = field(default_factory=dict)  # the manifest's derived block
+    thresholds: dict = field(default_factory=dict)  # u_t -> S_c(A = 0), each temperature
+    points: tuple = ()  # PumpPoints classified: the sweep's cells or the run's (S, A)
 
 
 def parse_config(text: str, seed: int | None = None) -> RunConfig:
@@ -208,16 +213,31 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         bad = [x for x in (v if isinstance(v, list) else [v]) if not _meets(x, rule)]
         if bad:  # a list names its bad elements
             errors.append(f"{name} must be {rule}, got {bad if isinstance(v, list) else v}")
+    n = values["physics.n_particles"]
+    if not errors:
+        u0 = _derived(errors, "physics.n_particles", "nu0 / n_particles",
+                      lambda: values["physics.nu0"] / n)
     if errors:
         raise ConfigError(errors)
 
-    # the rules that tie keys together
+    # the rules that tie keys together, and the numbers derived from them
     given_mode = values["run.mode"]
     mode = ALIASES.get(given_mode, given_mode)
-    n = values["physics.n_particles"]
-    base = SystemParams(delta=values["physics.delta"], n_particles=n,
-                        u0=values["physics.nu0"] / n, rho_r=values["physics.rho_r"],
-                        u_t=values["physics.u_t"])
+    base = SystemParams(delta=values["physics.delta"], n_particles=n, u0=u0,
+                        rho_r=values["physics.rho_r"], u_t=values["physics.u_t"])
+    # S_c(A = 0) = u_t^2 (1 + delta^2)^2 / (2 rho_r N u0^2 |delta|) is 0 for a cold gas and
+    # diverges at delta = 0 or N u0 = 0; else it is made here, once per temperature
+    missing = [need for need, met in (("u_t > 0", base.u_t > 0), ("delta != 0", base.delta != 0),
+                                      ("nu0 != 0", base.u0 != 0)) if not met]
+    u_ts = [base.u_t, *((mode == "stability-boundary" and values["boundary.u_t_list"]) or ())]
+    thresholds = {} if missing else {
+        u_t: _derived(errors, "boundary.u_t_list" if i else "physics.u_t",
+                      f"S_c(A = 0) at u_t = {u_t:g}",
+                      lambda: threshold_sc_a0(replace(base, u_t=u_t)), positive=True)
+        for i, u_t in enumerate(dict.fromkeys(u_ts))}  # each temperature once
+    sc = thresholds.get(base.u_t)
+    derived = {"carl_bound": _derived(errors, "physics.delta", "carl_bound",
+                                      lambda: carl_bound(base))}
 
     s_total = values["physics.s_total"]
     s_over_sc = values["physics.s_over_sc"]
@@ -225,12 +245,10 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
                                                                   "phase-diagram"):
         errors.append("physics: give exactly one of s_total, s_over_sc")
     if s_total is None and s_over_sc is not None:
-        if base.u_t <= 0 or base.delta == 0:  # S_c(A = 0) is 0 or diverges
-            errors.append("physics.s_over_sc needs u_t > 0 and delta != 0")
-        else:
-            from .stability import threshold_sc_a0
-
-            s_total = s_over_sc * threshold_sc_a0(base)
+        if missing:
+            errors.append(f"physics.s_over_sc needs {' and '.join(missing)}")
+        elif sc is not None:
+            s_total = _derived(errors, "physics.s_over_sc", "S", lambda: s_over_sc * sc)
     if s_total is None:
         s_total = 0.0
     a_asym = values["physics.a_asym"]
@@ -245,6 +263,11 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         params = replace(base, s_total=s_total, a_asym=a_asym)
     except DomainError as exc:
         raise ConfigError([str(exc)]) from exc
+    derived.update(s_total=s_total, a_asym=a_asym)
+    if sc is not None:
+        derived.update(sc_a0=sc, s_bgk=_derived(errors, "physics.a_asym", "S_BGK(A)",
+                                                lambda: s_bgk(params, a_asym)))
+    points = (PumpPoint(s_total, a_asym),) if mode in ("nbody", "vlasov") else ()
 
     if mode == "vlasov" and "dt" not in given["run"]:
         values["run.dt"] = _VLASOV_DT
@@ -254,22 +277,23 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
             # split_run rounds intervals to whole steps, at least one; a run
             # shorter than dt would take none
             errors.append(f"{name} must be >= run.dt = {dt:g}, got {values[name]}")
-    if mode in ("stability-boundary", "phase-diagram") and base.delta == 0:
-        # S drops out of D(s) at delta = 0, so there is no marginal S and no S_c
-        errors.append(f"{mode} mode needs delta != 0")
-    if mode in ("vlasov", "stability-boundary", "phase-diagram") and base.u_t <= 0:
-        # a cold gas has no Landau-damped marginal curve, S_c(A = 0) is 0,
-        # and the Vlasov grid's u range is set by the thermal width
-        errors.append(f"{mode} mode needs u_t > 0")
-    if mode == "stability-boundary":
+    if mode == "vlasov" and base.u_t <= 0:  # the grid's u range is the thermal width
+        errors.append("vlasov mode needs u_t > 0")
+    if mode in ("stability-boundary", "phase-diagram") and missing:
+        # S drops out of D(s) at delta = 0 or N u0 = 0; a cold gas has no marginal curve
+        errors.append(f"{mode} mode needs {' and '.join(missing)}")
+    if len({f"{u:g}" for u in thresholds}) < len(thresholds):
         # one boundary_ut<u_t:g>.csv per temperature
-        u_ts = {base.u_t, *(values["boundary.u_t_list"] or ())}
-        if len({f"{u:g}" for u in u_ts}) < len(u_ts):
-            errors.append(f"boundary.u_t_list: different temperatures share a file "
-                          f"name boundary_ut<u_t:g>.csv, got {sorted(u_ts)}")
+        errors.append(f"boundary.u_t_list: different temperatures share a file "
+                      f"name boundary_ut<u_t:g>.csv, got {sorted(thresholds)}")
     if mode == "phase-diagram":
-        if values["sweep.s_over_sc"] is None or values["sweep.a_over_s"] is None:
+        grid_s, grid_a = values["sweep.s_over_sc"], values["sweep.a_over_s"]
+        if grid_s is None or grid_a is None:
             errors.append("phase-diagram mode needs sweep.s_over_sc and sweep.a_over_s")
+        elif sc is not None:
+            top = max(grid_s, default=0.0)  # r * sc grows with r >= 0: if S(top) is finite, all are
+            if _derived(errors, "sweep.s_over_sc", f"S at {top!r}", lambda: top * sc) is not None:
+                points = tuple(PumpPoint(r * sc, aos * r * sc) for r in grid_s for aos in grid_a)
     if given_mode == "slow-beam":
         if values["nbody.mean_u"] == 0.0:
             errors.append("slow-beam mode needs nbody.mean_u != 0")
@@ -291,6 +315,9 @@ def parse_config(text: str, seed: int | None = None) -> RunConfig:
         out=values["run.out"],
         options=options,
         snapshot={sec: {k: str(values[f"{sec}.{k}"]) for k in kv} for sec, kv in given.items()},
+        derived=derived,
+        thresholds=thresholds,
+        points=points,
     )
 
 

@@ -35,7 +35,8 @@ from iR to -iR, then back along the semicircle |s| = R in Re s >= 0.
 * Radius.  s^2 I(s) / prefactor depends on s / u_t only and is bounded by
   its sup on the imaginary axis, c* = 1.8227 (Phragmen-Lindelof).  With
   |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 this gives, per pump cell, a
-  power of two R beyond which D has no zero in Re s >= 0 (Rouche).
+  power of two R beyond which D has no zero in Re s >= 0 (Rouche).  A cell
+  that no R up to 2^32 bounds gets a RuntimeError: the search always ends.
 * Cached table.  I(s) on the contour samples depends only on the
   pump-free physics and R, so it is computed once and reused by every
   cell.  D is affine in (S, A), so the cells of one R are counted in
@@ -273,27 +274,35 @@ _N_AXIS = 500
 _N_ARC = 100
 _AXIS_SHIFTS = (0.0, 1e-7, 1e-5)  # axis offsets (units of R) retried on a zero
 _CHUNK = 8  # cells per array pass: 8 x 601 doubles (38 kB) stay under malloc's mmap threshold
+# The largest search radius.  At a radius R that meets the Rouche bound,
+# |D| < R^2 + (R+1)^2 + (2 / _G_SUP) (R^4 + R^2) / u_t^2 on the contour,
+# because |I(s)| <= 2 pref / u_t^2 (|1 + zeta Z| <= 1 for Im zeta >= 0); so
+# up to 2^32 the contour pass's |D|^2 stays finite for every u_t above 1e-57.
+_MAX_RADIUS = 2.0**32
 
 
-def _search_radii(points, params: SystemParams) -> list[float]:
+def _search_radii(points, params: SystemParams) -> list:
     """Power of two R per cell with no zero of D in Re s >= 0, |s| >= R (Rouche).
 
     In Re s >= 0, |delta^2 + (s+1)^2| >= |s|^2 + 1 - delta^2 and
     |I(s)| <= _G_SUP * pref / |s|^2, so D != 0 wherever
     _G_SUP pref (|A| (r+1) + |delta| S) < r^2 (r^2 + 1 - delta^2), r = |s|,
     r^2 > delta^2.  The ratio of the two sides grows with r there, so the
-    first power of two that satisfies it bounds every unstable zero.
+    first power of two that satisfies it bounds every unstable zero.  A cell
+    that no power of two up to _MAX_RADIUS bounds gets a RuntimeError.
     """
     bound = _G_SUP * _landau_prefactor(params)
     d2 = params.delta**2
     a = np.abs([p.a_asym for p in points])
     load = abs(params.delta) * np.array([p.s_total for p in points], dtype=float)
-    r = np.ones(a.shape)
-    while True:
-        short = ~((r * r > d2) & (bound * (a * (r + 1.0) + load) < r * r * (r * r + 1.0 - d2)))
-        if not short.any():
-            return r.tolist()
-        r[short] *= 2.0
+    r, short = np.ones(a.shape), np.ones(a.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # a term that overflows bounds nothing
+        while short.any():
+            short = (r <= _MAX_RADIUS) & ~(
+                (r * r > d2) & (bound * (a * (r + 1.0) + load) < r * r * (r * r + 1.0 - d2)))
+            r[short] *= 2.0
+    return [x if x <= _MAX_RADIUS else RuntimeError(
+        f"no search radius up to {_MAX_RADIUS:g} bounds the unstable zeros") for x in r.tolist()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -524,12 +533,15 @@ def _search(points, params: SystemParams, stats: SearchStats | None = None) -> l
     cells of the batch.  The cold gas (u_t = 0) solves each cell's quartic.
     """
     if params.u_t == 0.0:
-        return [_cold_unstable_roots(p, params) for p in points]
+        return [[complex(r) for r in _cold_roots(p, params) if r.real > 0] for p in points]
     radii = _search_radii(points, params)
+    found = [None] * len(points)
     groups: dict[float, list[int]] = {}
     for i, r in enumerate(radii):
-        groups.setdefault(r, []).append(i)
-    found = [None] * len(points)
+        if isinstance(r, Exception):
+            found[i] = r
+        else:
+            groups.setdefault(r, []).append(i)
     for radius, cells in groups.items():
         for i, res in zip(cells, _chunk_starts([points[i] for i in cells], params, radius)):
             found[i] = res
@@ -573,16 +585,9 @@ def _unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
     return _one(_search([point], params)[0])
 
 
-def _cold_unstable_roots(point: PumpPoint, params: SystemParams) -> list[complex]:
-    """The roots of the cold-gas quartic in the open right half-plane."""
-    return [complex(r) for r in _cold_roots(point, params) if r.real > 0]
-
-
 def count_unstable_roots(point: PumpPoint, params: SystemParams) -> int:
-    """Number of zeros of D in the open right half-plane."""
-    if params.u_t == 0.0:
-        return len(_cold_unstable_roots(point, params))
-    return _one(_chunk_starts([point], params, _search_radii([point], params)[0])[0])[0]
+    """Number of distinct zeros of D in the open right half-plane."""
+    return len(_unstable_roots(point, params))
 
 
 def max_growth_rate(point: PumpPoint, params: SystemParams) -> complex | None:
@@ -640,6 +645,8 @@ def threshold_sc_a0(params: SystemParams) -> float:
     d = params.delta
     if d == 0:
         raise DomainError("threshold diverges at delta = 0")
+    if params.u0 == 0:
+        raise DomainError("threshold diverges at N u0 = 0")
     return (
         params.u_t**2
         * (1.0 + d**2) ** 2

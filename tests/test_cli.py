@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -324,6 +325,37 @@ class TestRunExperiment:
         assert sorted(m.files) == ["boundary_ut1.csv", "boundary_ut3.csv"]
         assert list(m.results["thresholds_a0"]) == ["u_t=3", "u_t=1"]
 
+    def test_runs_read_the_derived_numbers(self, tmp_path, monkeypatch):
+        """parse_config makes S_c(A = 0), the derived block, the boundary
+        thresholds and the sweep cells; a run only reads them."""
+        sweep = MINIMAL.replace("mode = nbody", "mode = phase-diagram") + (
+            "\n[sweep]\ns_over_sc = 0.5, 2.0\na_over_s = 0.0, 0.5\n")
+        texts = {"nbody": MINIMAL.replace("s_total = 8.0", "s_over_sc = 2.0"),
+                 "stability-boundary": BOUNDARY + "\n[boundary]\nn_omega = 20\nu_t_list = 1\n",
+                 "phase-diagram": sweep}
+        cfgs = {mode: parse_config(text) for mode, text in texts.items()}
+        p = cfgs["nbody"].params
+        sc = stability.threshold_sc_a0(p)
+        assert p.s_total == 2.0 * sc
+        assert cfgs["nbody"].points == (stability.PumpPoint(p.s_total, p.a_asym),)
+        assert cfgs["nbody"].derived == {"s_total": p.s_total, "a_asym": p.a_asym,
+                                         "carl_bound": stability.carl_bound(p), "sc_a0": sc,
+                                         "s_bgk": stability.s_bgk(p, p.a_asym)}
+        assert cfgs["stability-boundary"].thresholds == {
+            3.0: sc, 1.0: stability.threshold_sc_a0(replace(p, u_t=1.0))}
+        assert cfgs["phase-diagram"].points == tuple(
+            stability.PumpPoint(r * sc, aos * r * sc) for r in (0.5, 2.0) for aos in (0.0, 0.5))
+
+        def unused(*args):
+            raise AssertionError("the run recomputed S_c(A = 0)")
+
+        monkeypatch.setattr(stability, "threshold_sc_a0", unused)
+        monkeypatch.setattr(stability, "s_bgk", unused)
+        for mode, cfg in cfgs.items():
+            m = cli.run_experiment(cfg, tmp_path / mode)
+            assert m.derived == cfg.derived
+        assert m.results["n_cells"] == 4
+
     def test_boundary_mode(self, tmp_path):
         text = MINIMAL.replace("mode = nbody", "mode = stability-boundary")
         text += "\n[boundary]\nn_omega = 50\n"
@@ -622,6 +654,33 @@ class TestMain:
             err = capsys.readouterr().err
             assert "error: invalid config" in err and "Traceback" not in err
             assert not out.exists()
+        # S_c(A = 0) diverges at N u0 = 0 too; a derived number that overflows,
+        # underflows or divides by zero names its key (these used to raise a
+        # ZeroDivisionError or OverflowError, most after the output directory
+        # was made, or exit 2)
+        decoupled = with_key(MINIMAL, "physics.nu0", "0.0")
+        for command, text, key in (
+            ("nbody", decoupled.replace("s_total = 8.0", "s_over_sc = 2.0"), "nu0 != 0"),
+            ("phase-diagram", decoupled.replace("mode = nbody", "mode = phase-diagram")
+             + "\n[sweep]\ns_over_sc = 0.5\na_over_s = 0.0\n", "nu0 != 0"),
+            ("stability-boundary", decoupled.replace("mode = nbody", "mode = stability-boundary"),
+             "nu0 != 0"),
+            ("nbody", with_key(MINIMAL, "physics.delta", "1e200"), "physics.delta"),
+            ("nbody", with_key(MINIMAL, "physics.u_t", "1e-200"), "physics.u_t"),
+            ("nbody", with_key(MINIMAL, "physics.n_particles", "1" + "0" * 400),
+             "physics.n_particles"),
+            ("stability-boundary", BOUNDARY + "\n[boundary]\nu_t_list = 1e200\n",
+             "boundary.u_t_list"),
+            ("phase-diagram", sweep + "s_over_sc = 0.5, 1e308\na_over_s = 0.0\n",
+             "sweep.s_over_sc"),
+        ):
+            bad.write_text(text)
+            out = tmp_path / "derived"
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(bad), "--out", str(out)]) == 1, text
+            err = capsys.readouterr().err
+            assert "error: invalid config" in err and key in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("mode, name, value", [
         ("nbody", "run.t_end", "inf"),
@@ -757,6 +816,37 @@ class TestMain:
         assert m["derived"]["carl_bound"] == 0.0
         assert not {"sc_a0", "s_bgk"} & m["derived"].keys()
         assert m["results"]["wave_report"]["v_ph_predicted"] is None
+
+    def test_decoupled_run(self, tmp_path, capsys):
+        """N u0 = 0 is a control run with no coupling: an nbody run with
+        s_total set runs, and the manifest leaves out the divergent
+        S_c(A = 0) and S_BGK."""
+        cfg = tmp_path / "decoupled.ini"
+        cfg.write_text(with_key(MINIMAL, "physics.nu0", "0.0"))
+        assert cli.main(["nbody", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        m = json.loads((tmp_path / "r/manifest.json").read_text())
+        assert m["error"] is None and m["derived"]["s_total"] == 8.0
+        assert not {"sc_a0", "s_bgk"} & m["derived"].keys()
+        assert m["results"]["analytic_regime"] == "stable"
+
+    def test_unbounded_sweep_cells_are_error_rows(self, tmp_path, capsys):
+        """A sweep cell whose root search no radius bounds (S/S_c = 1e299,
+        with A = 0 and A != 0) is an error:RuntimeError row and the sweep
+        ends; the other rows are those of the sweep without it."""
+        text = re.sub(r"(?m)^a_over_s = .*$", "a_over_s = 0.0, 0.5",
+                      cli.load_preset("phase-diagram"))
+        rows = {}
+        for grid in ("0.5, 2.0", "0.5, 2.0, 1e299"):
+            path = tmp_path / "sweep.ini"
+            path.write_text(re.sub(r"(?m)^s_over_sc = .*$", f"s_over_sc = {grid}", text))
+            out = tmp_path / grid.replace(", ", "_")
+            assert cli.main(["phase-diagram", "--config", str(path), "--out", str(out)]) == 0
+            rows[grid] = (out / "phase_diagram.csv").read_text().splitlines()
+            assert json.loads((out / "manifest.json").read_text())["error"] is None
+        small, big = rows.values()
+        assert big[:5] == small
+        assert [r.split(",")[2:] for r in big[5:]] == [["error:RuntimeError", "0.0", "0.0"]] * 2
+        assert {r.split(",")[2] for r in small[1:]} == {"stable", "bgk-ordered"}
 
     def test_successful_run_and_seed_override(self, tmp_path, capsys):
         good = tmp_path / "ok.ini"

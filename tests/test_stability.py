@@ -352,6 +352,15 @@ class TestBoundary:
         expect = 3.0**2 * (1 + 1) ** 2 / (2 * 0.01 * 10000 * (1e-4) ** 2 * 1.0)
         assert st.threshold_sc_a0(p) == pytest.approx(expect)
 
+    def test_threshold_diverges_without_detuning_or_coupling(self):
+        """S_c(A = 0) diverges at delta = 0 and at N u0 = 0: both raise
+        DomainError, in s_bgk too, not ZeroDivisionError."""
+        for p in (make_params(delta=0.0), replace(make_params(), u0=0.0)):
+            with pytest.raises(DomainError, match="threshold diverges"):
+                st.threshold_sc_a0(p)
+            with pytest.raises(DomainError, match="threshold diverges"):
+                st.s_bgk(p, 0.0)
+
 
 class TestRegimes:
     def test_carl_bound_value(self):
@@ -489,6 +498,23 @@ class TestBatch:
         batch = self._check_batch(points, p, seed=2)
         ordered = [k for k in batch if k[0] == "bgk-ordered"]
         assert ordered and all(k[2] for k in ordered)
+
+    def test_unbounded_cell_stays_in_its_cell(self):
+        """A cell that no search radius up to the cap bounds (S/S_c = 1e299,
+        with A = 0 and A != 0) gets its own RuntimeError and raises no
+        warning; the other cells are bitwise those of a batch without it."""
+        p = make_params()
+        sc = st.threshold_sc_a0(p)
+        points = [st.PumpPoint(r * sc, aos * r * sc)
+                  for r in (0.5, 2.0, 1e299) for aos in (0.0, 0.5)]
+        batch = self._check_batch(points, p, seed=4)
+        unbounded = ("RuntimeError", "no search radius up to 4.29497e+09 bounds the unstable zeros")
+        assert batch[4:] == [unbounded] * 2
+        assert batch[:4] == [_result_key(r) for r in st.classify_regimes(points[:4], p)]
+        assert {k[0] for k in batch[:4]} == {"stable", "bgk-ordered"}
+        for q in points[4:]:
+            with pytest.raises(RuntimeError, match="no search radius"):
+                st.count_unstable_roots(q, p)
 
     def test_newton_failure_stays_in_its_cell(self, monkeypatch):
         """A polish that meets D' = 0 fails its own cell and no other."""
